@@ -1,12 +1,14 @@
 # Tier-1 verification gate (see ROADMAP.md): every PR must leave `make ci`
-# green. `make race` additionally race-tests the concurrent packages; `make
-# bench` is the quick no-regression smoke for the sim hot path.
+# green. `make race` additionally race-tests the concurrent packages and
+# `make cross` vets and builds for arm64, where internal/tensor has no
+# assembly and runs its pure-Go kernels; `make bench` is the quick
+# no-regression smoke for the sim hot path.
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search trace-smoke profile-smoke
+.PHONY: ci vet build test race cross fuzz-smoke bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search trace-smoke profile-smoke
 
-ci: vet build test race
+ci: vet build test race cross
 
 vet:
 	$(GO) vet ./...
@@ -20,14 +22,25 @@ test:
 race:
 	$(GO) test -race ./internal/drl/... ./internal/sim/... ./internal/obs/... ./internal/mcts/... ./internal/exp/... ./internal/rl/... ./internal/infer/...
 
+cross:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
+
+# Short fuzz of the AVX2 primitives against their Go twins (bit-for-bit
+# parity; the committed seed corpus lives in internal/tensor/testdata/fuzz).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzSIMDMatchesGeneric -fuzztime 5s ./internal/tensor/
+
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' .
 
 # Quick kernel-iteration loop for the DNN hot path (im2col/GEMM convs,
 # scratch arenas): just the DNN/GEMM micro-benchmarks, with allocation
-# counts. Before/after numbers for PR 2 live in BENCH_PR2.json.
+# counts, then the fused conv kernels at the default 8×8 net's layer shapes
+# on the AVX2 primitives (simd) and on their Go twins (generic). Before/after
+# numbers for PR 2 live in BENCH_PR2.json.
 bench-nn:
 	$(GO) test -bench 'BenchmarkDNN|BenchmarkGemm|BenchmarkIm2col' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkConvFused' -benchmem -run '^$$' ./internal/tensor/
 
 # Quick iteration loop for the simulator hot path (zero-alloc Step/Run:
 # flit pools, head-index queues, routing caches, active-set sparse

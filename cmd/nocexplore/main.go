@@ -54,6 +54,18 @@ func main() {
 	manifestPath := flag.String("manifest", "", "append a JSONL run-provenance manifest (config, seed, git rev, wall time, metrics) to this path")
 	progress := flag.Duration("progress", 10*time.Second, "interval between progress lines on stderr (0 = off)")
 	flag.Parse()
+	// drl.New would clamp these to 1 while -manifest records the raw value,
+	// so reject them the way flag rejects a malformed value.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"episodes", *episodes}, {"threads", *threads}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "nocexplore: -%s must be positive, got %d\n", f.name, f.v)
+			flag.Usage()
+			os.Exit(2)
+		}
+	}
 
 	var reg *obs.Registry
 	if *metricsPath != "" || *debugAddr != "" || *manifestPath != "" {

@@ -75,7 +75,7 @@ type Conv2D struct {
 	tpout []float64      // gapped output accumulation row (ConvFwdPad)
 	tgp   []float64      // zero-padded gradient planes, rebuilt per sample
 	trow  []float64      // gathered cols row (ConvDWPad leftover columns)
-	tsrow []float64      // one-output-row scratch (ConvDXPad, outC > 4)
+	tsrow []float64      // two gapped accumulation rows (ConvDXPad)
 	tout  *tensor.Tensor
 	tdx   *tensor.Tensor
 }

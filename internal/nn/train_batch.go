@@ -148,10 +148,10 @@ func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needDX bool) *tensor.Tensor 
 	rowBuf := a.slice(&c.trow, hw)
 	gpad := a.slice(&c.tgp, c.OutC*hpwp)
 	var dx *tensor.Tensor
-	var srow []float64
+	var dxScratch []float64
 	if needDX {
 		dx = a.tensorFor(&c.tdx, x.Shape...)
-		srow = a.slice(&c.tsrow, w)
+		dxScratch = a.slice(&c.tsrow, 2*((h-1)*wpad+w))
 	}
 	// The interior rows of the padded gradient planes, viewed from the first
 	// pixel at stride wpad, are exactly the zero-gapped span ConvDWPad walks.
@@ -166,7 +166,7 @@ func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needDX bool) *tensor.Tensor 
 		if needDX {
 			tensor.ConvDXPad(c.Weight.W.Data, c.OutC, c.InC,
 				gpad, hpwp, h, w, c.K,
-				dx.Data[bi*hw:], nb*hw, srow)
+				dx.Data[bi*hw:], nb*hw, dxScratch)
 		}
 	}
 	return dx

@@ -29,8 +29,6 @@ import "fmt"
 //     GemmNT: position of the output column within its jc panel selects the
 //     sequential or the four-lane dot; GemmTN: aligned 4-lane groups over
 //     the reduction dim), all of which these kernels reproduce exactly.
-//     ConvDXPad blocks by output row so the accumulating row stays
-//     cache-resident; per element that changes nothing.
 //
 //  3. Zero terms may be inserted into a chain. ConvDWPad walks the gradient
 //     plane as one (h-1)·wp+w span whose k-1 inter-row gap elements are
@@ -43,8 +41,7 @@ import "fmt"
 //  4. A dcols value's sign of zero never reaches dX (the accumulating dX
 //     element is never -0, and t+(+0) == t+(-0) for such t), which licenses
 //     evaluating the grouped-outC expression straight into dX for outC ≤ 4
-//     and assigning the first group into the outC > 4 scratch row instead
-//     of adding it to a cleared one.
+//     instead of into a cleared dcols element first.
 //
 // The zero-term argument assumes finite inputs: a gap term is av·b with one
 // operand exactly ±0, which is ±0 only when the other operand is finite
@@ -124,21 +121,11 @@ func ConvFwdPad(weights []float64, outC, inC int, xp []float64, xpStride int, h,
 			k1 := min(k0+gemmKC, ickk)
 			kk := k0
 			for ; kk+3 < k1; kk += 4 {
-				a0, a1, a2, a3 := wrow[kk], wrow[kk+1], wrow[kk+2], wrow[kk+3]
-				p0 := xp[base(kk):][:span]
-				p1 := xp[base(kk+1):][:span]
-				p2 := xp[base(kk+2):][:span]
-				p3 := xp[base(kk+3):][:span]
-				for t := range pp {
-					pp[t] += a0*p0[t] + a1*p1[t] + a2*p2[t] + a3*p3[t]
-				}
+				axpy4(pp, xp[base(kk):], xp[base(kk+1):], xp[base(kk+2):], xp[base(kk+3):],
+					wrow[kk], wrow[kk+1], wrow[kk+2], wrow[kk+3])
 			}
 			for ; kk < k1; kk++ {
-				av := wrow[kk]
-				prow := xp[base(kk):][:span]
-				for t := range pp {
-					pp[t] += av * prow[t]
-				}
+				axpy1(pp, xp[base(kk):], wrow[kk])
 			}
 		}
 		orow := out[oc*outStride : oc*outStride+hw]
@@ -183,59 +170,38 @@ func ConvDWPad(grad []float64, gStride int, gp []float64, gpStride int, xp []flo
 		ic, rem := r/kk2, r%kk2
 		return ic*xpStride + (rem/k)*wp + rem%k
 	}
+	var rows, cols [4][]float64
+	var s [16]float64
 	jc := max(4, 32768/hw)
 	for j0 := 0; j0 < ickk; j0 += jc {
 		j1 := min(j0+jc, ickk)
-		for i := 0; i < outC; i++ {
-			crow := wGrad[i*ickk : (i+1)*ickk]
-			gprow := gp[i*gpStride : i*gpStride+span]
-			j := j0
-			for ; j+3 < j1; j += 4 {
-				// The four-wide panel flavor: per element, one accumulator
-				// over the reduction in ascending order — four independent
-				// chains interleaved exactly as GemmNT's panel loop, which
-				// is what keeps four FP adds in flight.
-				p0 := xp[base(j):][:span]
-				p1 := xp[base(j+1):][:span]
-				p2 := xp[base(j+2):][:span]
-				p3 := xp[base(j+3):][:span]
-				var s0, s1, s2, s3 float64
-				for t, av := range gprow {
-					s0 += av * p0[t]
-					s1 += av * p1[t]
-					s2 += av * p2[t]
-					s3 += av * p3[t]
-				}
-				crow[j] += s0
-				crow[j+1] += s1
-				crow[j+2] += s2
-				crow[j+3] += s3
+		j4 := j0 + (j1-j0)&^3
+		for i0 := 0; i0 < outC; i0 += 4 {
+			// The four-wide panel flavor: per element, one accumulator over
+			// the reduction in ascending order, four output channels at a
+			// time so sixteen independent chains are in flight.
+			nr := min(4, outC-i0)
+			for r := 0; r < nr; r++ {
+				rows[r] = gp[(i0+r)*gpStride:][:span]
 			}
-			if j >= j1 {
-				continue
+			for j := j0; j < j4; j += 4 {
+				for q := range cols {
+					cols[q] = xp[base(j+q):][:span]
+				}
+				dot4x4(rows[:nr], &cols, &s)
+				addSums(wGrad[i0*ickk+j:], ickk, nr, &s)
 			}
-			arow := grad[i*gStride : i*gStride+hw]
-			for ; j < j1; j++ {
-				// The leftover flavor: the four-lane interleaved dot. Gather
-				// the cols row once so the lane phase matches the dense
-				// layout even when w is not a multiple of four.
-				rb := base(j)
-				for oy := 0; oy < h; oy++ {
-					copy(rowBuf[oy*w:(oy+1)*w], xp[rb+oy*wp:][:w])
-				}
-				var s0, s1, s2, s3 float64
-				kk := 0
-				for ; kk+3 < hw; kk += 4 {
-					s0 += arow[kk] * rowBuf[kk]
-					s1 += arow[kk+1] * rowBuf[kk+1]
-					s2 += arow[kk+2] * rowBuf[kk+2]
-					s3 += arow[kk+3] * rowBuf[kk+3]
-				}
-				s := s0 + s1 + s2 + s3
-				for ; kk < hw; kk++ {
-					s += arow[kk] * rowBuf[kk]
-				}
-				crow[j] += s
+		}
+		for j := j4; j < j1; j++ {
+			// The leftover flavor: the four-lane interleaved dot. Gather
+			// the cols row once so the lane phase matches the dense layout
+			// even when w is not a multiple of four.
+			rb := base(j)
+			for oy := 0; oy < h; oy++ {
+				copy(rowBuf[oy*w:(oy+1)*w], xp[rb+oy*wp:][:w])
+			}
+			for i := 0; i < outC; i++ {
+				wGrad[i*ickk+j] += dotLanes(grad[i*gStride:i*gStride+hw], rowBuf)
 			}
 		}
 	}
@@ -246,18 +212,23 @@ func ConvDWPad(grad []float64, gStride int, gp []float64, gpStride int, xp []flo
 // GemmTN(inC·k², h·w, outC, weights, grad, dcols, false) followed by
 // Col2im(dcols, ...). It runs col2im as a gather: a dX element's lowered
 // chain is "for r ascending, add the grouped-outC dcols value", and that
-// dcols value lives at a fixed offset in the zero-padded gradient planes —
-// so each w-length dX row accumulates all k² reduction indices of its plane
-// while cache-hot. Positions Col2im would have clipped read pad zeros and
-// add ±0 (no-ops); each grouped value is GemmTN's exact per-element pattern
+// dcols value lives at a fixed offset in the zero-padded gradient planes.
+// Like ConvFwdPad, each input channel accumulates into a gapped row
+// (position y·(w+k-1)+x) in one long sweep per reduction index, and the
+// interior is copied out at the end; the gap elements collect garbage that
+// is discarded. Positions Col2im would have clipped read pad zeros and add
+// ±0 (no-ops); each grouped value is GemmTN's exact per-element pattern
 // (aligned four-lane groups over outC plus leftover singles), evaluated
-// straight into dX for outC ≤ 4 and via the w-length scratch row srow for
-// outC > 4 (see the package comment for the sign-of-zero licenses).
+// straight into the accumulating row for outC ≤ 4 and via a second gapped
+// scratch row for outC > 4 (see the package comment for the sign-of-zero
+// licenses).
 //
 // gpad holds outC gradient planes padded by PadPlaneLead with
 // lead = k-1-(k-1)/2, plane oc starting at gpad[oc*gpadStride]; dx receives
 // inC compact planes of h·w starting at dx[ic*dxStride], overwritten.
-func ConvDXPad(weights []float64, outC, inC int, gpad []float64, gpadStride int, h, w, k int, dx []float64, dxStride int, srow []float64) {
+// scratch must hold two gapped rows, 2·((h-1)·(w+k-1)+w) values, and is
+// clobbered.
+func ConvDXPad(weights []float64, outC, inC int, gpad []float64, gpadStride int, h, w, k int, dx []float64, dxStride int, scratch []float64) {
 	hw := h * w
 	if hw <= 1 {
 		panic("tensor: ConvDXPad requires h*w > 1")
@@ -265,93 +236,65 @@ func ConvDXPad(weights []float64, outC, inC int, gpad []float64, gpadStride int,
 	kk2 := k * k
 	ickk := inC * kk2
 	wp := w + k - 1
+	span := (h-1)*wp + w
 	if len(weights) < outC*ickk || len(gpad) < (outC-1)*gpadStride+(h+k-1)*wp ||
-		len(dx) < (inC-1)*dxStride+hw || len(srow) < w {
+		len(dx) < (inC-1)*dxStride+hw || len(scratch) < 2*span {
 		panic("tensor: ConvDXPad buffer lengths too short")
 	}
-	sr := srow[:w]
+	pd, sr := scratch[:span], scratch[span:2*span]
 	for ic := 0; ic < inC; ic++ {
-		for y := 0; y < h; y++ {
-			drow := dx[ic*dxStride+y*w : ic*dxStride+(y+1)*w]
-			clear(drow)
-			ky, kx := 0, 0
-			for rr := 0; rr < kk2; rr++ {
-				r := ic*kk2 + rr
-				// dcols row r at output row oy = y+pad-ky reads the padded
-				// gradient at plane row oy+lead = y+(k-1)-ky, column offset
-				// pad-kx+lead = (k-1)-kx: always in bounds, zeros where the
-				// lowered path had no contribution.
-				gbase := (y+k-1-ky)*wp + (k - 1 - kx)
-				if kx++; kx == k {
-					kx, ky = 0, ky+1
-				}
-				switch {
-				case outC == 1:
-					a0 := weights[r]
-					g0 := gpad[gbase:][:w]
-					for x := range drow {
-						drow[x] += a0 * g0[x]
-					}
-				case outC == 2:
-					a0, a1 := weights[r], weights[ickk+r]
-					g0 := gpad[gbase:][:w]
-					g1 := gpad[gpadStride+gbase:][:w]
-					for x := range drow {
-						drow[x] += a0*g0[x] + a1*g1[x]
-					}
-				case outC == 3:
-					a0, a1, a2 := weights[r], weights[ickk+r], weights[2*ickk+r]
-					g0 := gpad[gbase:][:w]
-					g1 := gpad[gpadStride+gbase:][:w]
-					g2 := gpad[2*gpadStride+gbase:][:w]
-					for x := range drow {
-						drow[x] += a0*g0[x] + a1*g1[x] + a2*g2[x]
-					}
-				case outC == 4:
-					a0, a1, a2, a3 := weights[r], weights[ickk+r], weights[2*ickk+r], weights[3*ickk+r]
-					g0 := gpad[gbase:][:w]
-					g1 := gpad[gpadStride+gbase:][:w]
-					g2 := gpad[2*gpadStride+gbase:][:w]
-					g3 := gpad[3*gpadStride+gbase:][:w]
-					for x := range drow {
-						drow[x] += a0*g0[x] + a1*g1[x] + a2*g2[x] + a3*g3[x]
-					}
-				default:
-					// GemmTN's aligned four-lane groups over outC, then
-					// leftover singles. The first group assigns; outC >= 5
-					// here, so it always exists.
-					l := 0
-					for ; l+3 < outC; l += 4 {
-						a0 := weights[l*ickk+r]
-						a1 := weights[(l+1)*ickk+r]
-						a2 := weights[(l+2)*ickk+r]
-						a3 := weights[(l+3)*ickk+r]
-						g0 := gpad[l*gpadStride+gbase:][:w]
-						g1 := gpad[(l+1)*gpadStride+gbase:][:w]
-						g2 := gpad[(l+2)*gpadStride+gbase:][:w]
-						g3 := gpad[(l+3)*gpadStride+gbase:][:w]
-						if l == 0 {
-							for x := range sr {
-								sr[x] = a0*g0[x] + a1*g1[x] + a2*g2[x] + a3*g3[x]
-							}
-						} else {
-							for x := range sr {
-								sr[x] += a0*g0[x] + a1*g1[x] + a2*g2[x] + a3*g3[x]
-							}
-						}
-					}
-					for ; l < outC; l++ {
-						av := weights[l*ickk+r]
-						grow := gpad[l*gpadStride+gbase:][:w]
-						for x := range sr {
-							sr[x] += av * grow[x]
-						}
-					}
-					for x := range drow {
-						drow[x] += sr[x]
-					}
-				}
+		clear(pd)
+		ky, kx := 0, 0
+		for rr := 0; rr < kk2; rr++ {
+			r := ic*kk2 + rr
+			// dcols row r at output pixel (y, x) reads the padded gradient
+			// at plane row y+(k-1)-ky, column x+(k-1)-kx: always in bounds,
+			// zeros where the lowered path had no contribution.
+			gbase := (k-1-ky)*wp + (k - 1 - kx)
+			if kx++; kx == k {
+				kx, ky = 0, ky+1
 			}
+			switch {
+			case outC == 1:
+				axpy1(pd, gpad[gbase:], weights[r])
+			case outC == 2:
+				a0, a1 := weights[r], weights[ickk+r]
+				g0 := gpad[gbase:][:span]
+				g1 := gpad[gpadStride+gbase:][:span]
+				for t := range pd {
+					pd[t] += a0*g0[t] + a1*g1[t]
+				}
+			case outC == 3:
+				a0, a1, a2 := weights[r], weights[ickk+r], weights[2*ickk+r]
+				g0 := gpad[gbase:][:span]
+				g1 := gpad[gpadStride+gbase:][:span]
+				g2 := gpad[2*gpadStride+gbase:][:span]
+				for t := range pd {
+					pd[t] += a0*g0[t] + a1*g1[t] + a2*g2[t]
+				}
+			case outC == 4:
+				axpy4(pd, gpad[gbase:], gpad[gpadStride+gbase:], gpad[2*gpadStride+gbase:], gpad[3*gpadStride+gbase:],
+					weights[r], weights[ickk+r], weights[2*ickk+r], weights[3*ickk+r])
+			default:
+				// GemmTN's aligned four-lane groups over outC, then
+				// leftover singles, summed in a cleared scratch row and
+				// added as one term (1·v == v exactly).
+				clear(sr)
+				l := 0
+				for ; l+3 < outC; l += 4 {
+					axpy4(sr, gpad[l*gpadStride+gbase:], gpad[(l+1)*gpadStride+gbase:],
+						gpad[(l+2)*gpadStride+gbase:], gpad[(l+3)*gpadStride+gbase:],
+						weights[l*ickk+r], weights[(l+1)*ickk+r], weights[(l+2)*ickk+r], weights[(l+3)*ickk+r])
+				}
+				for ; l < outC; l++ {
+					axpy1(sr, gpad[l*gpadStride+gbase:], weights[l*ickk+r])
+				}
+				axpy1(pd, sr, 1)
+			}
+		}
+		plane := dx[ic*dxStride : ic*dxStride+hw]
+		for y := 0; y < h; y++ {
+			copy(plane[y*w:(y+1)*w], pd[y*wp:y*wp+w])
 		}
 	}
 }

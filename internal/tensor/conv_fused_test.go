@@ -99,8 +99,11 @@ func TestConvFusedMatchesLowered(t *testing.T) {
 			for i := range gotDX {
 				gotDX[i] = 1e30 // ConvDXPad must overwrite its planes
 			}
-			srow := make([]float64, w)
-			ConvDXPad(weights, sz.outC, sz.inC, gpad, gpadStride, h, w, k, gotDX, dxStride, srow)
+			dxScratch := make([]float64, 2*((h-1)*wp+w))
+			for i := range dxScratch {
+				dxScratch[i] = 1e30 // scratch must be clobbered, not trusted
+			}
+			ConvDXPad(weights, sz.outC, sz.inC, gpad, gpadStride, h, w, k, gotDX, dxStride, dxScratch)
 
 			for oc := 0; oc < sz.outC; oc++ {
 				for i := 0; i < hw; i++ {

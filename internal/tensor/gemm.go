@@ -41,20 +41,7 @@ func GemmNN(m, n, k int, a, b, c []float64, acc bool) {
 		// Matrix–vector fast path (Dense layers): one four-accumulator
 		// dot product per output row instead of width-1 panel sweeps.
 		for i := 0; i < m; i++ {
-			arow := a[i*k : i*k+k]
-			var s0, s1, s2, s3 float64
-			kk := 0
-			for ; kk+3 < k; kk += 4 {
-				s0 += arow[kk] * b[kk]
-				s1 += arow[kk+1] * b[kk+1]
-				s2 += arow[kk+2] * b[kk+2]
-				s3 += arow[kk+3] * b[kk+3]
-			}
-			s := s0 + s1 + s2 + s3
-			for ; kk < k; kk++ {
-				s += arow[kk] * b[kk]
-			}
-			c[i] += s
+			c[i] += dotLanes(a[i*k:i*k+k], b)
 		}
 		return
 	}
@@ -67,21 +54,11 @@ func GemmNN(m, n, k int, a, b, c []float64, acc bool) {
 				crow := c[i*n+j0 : i*n+j1]
 				kk := k0
 				for ; kk+3 < k1; kk += 4 {
-					a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-					b0 := b[kk*n+j0 : kk*n+j1]
-					b1 := b[(kk+1)*n+j0 : (kk+1)*n+j1]
-					b2 := b[(kk+2)*n+j0 : (kk+2)*n+j1]
-					b3 := b[(kk+3)*n+j0 : (kk+3)*n+j1]
-					for j := range crow {
-						crow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-					}
+					axpy4(crow, b[kk*n+j0:], b[(kk+1)*n+j0:], b[(kk+2)*n+j0:], b[(kk+3)*n+j0:],
+						arow[kk], arow[kk+1], arow[kk+2], arow[kk+3])
 				}
 				for ; kk < k1; kk++ {
-					av := arow[kk]
-					brow := b[kk*n+j0 : kk*n+j1]
-					for j := range crow {
-						crow[j] += av * brow[j]
-					}
+					axpy1(crow, b[kk*n+j0:], arow[kk])
 				}
 			}
 		}
@@ -101,105 +78,30 @@ func MatVecBatch(m, k, nb int, a, x, y []float64) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : i*k+k]
 		for bi := 0; bi < nb; bi++ {
-			xrow := x[bi*k : bi*k+k]
-			var s0, s1, s2, s3 float64
-			kk := 0
-			for ; kk+3 < k; kk += 4 {
-				s0 += arow[kk] * xrow[kk]
-				s1 += arow[kk+1] * xrow[kk+1]
-				s2 += arow[kk+2] * xrow[kk+2]
-				s3 += arow[kk+3] * xrow[kk+3]
-			}
-			s := s0 + s1 + s2 + s3
-			for ; kk < k; kk++ {
-				s += arow[kk] * xrow[kk]
-			}
-			y[bi*m+i] = s
+			y[bi*m+i] = dotLanes(arow, x[bi*k:bi*k+k])
 		}
 	}
 }
 
 // GemmNT computes C = A·Bᵀ, or C += A·Bᵀ when acc is true.
 // A is m×k, B is n×k (used transposed), C is m×n, all row-major. Each C
-// element is a dot product of two contiguous rows, evaluated with four
-// independent accumulators.
+// element is a dot product of two contiguous rows; see GemmNTStrided for
+// the accumulation pattern.
 func GemmNT(m, n, k int, a, b, c []float64, acc bool) {
-	gemmCheck("GemmNT", a, b, c, m*k, n*k, m*n)
-	if !acc {
-		clear(c[:m*n])
-	}
-	if k == 1 {
-		// Rank-1 update fast path (Dense dW with a single column): a plain
-		// outer product, so the inner loop streams b and c contiguously
-		// instead of issuing length-1 dot products.
-		for i := 0; i < m; i++ {
-			av := a[i]
-			crow := c[i*n : i*n+n]
-			for j, bv := range b[:n] {
-				crow[j] += av * bv
-			}
-		}
-		return
-	}
-	// Panel the B rows so one panel is reused across the whole i sweep;
-	// ~256 KiB of B per panel.
-	jc := max(4, 32768/k)
-	for j0 := 0; j0 < n; j0 += jc {
-		j1 := min(j0+jc, n)
-		for i := 0; i < m; i++ {
-			arow := a[i*k : i*k+k]
-			crow := c[i*n : i*n+n]
-			j := j0
-			// Four C elements per A-row pass: the conv dW reductions here
-			// have short k (k = H·W after pooling, as low as 16), so the
-			// dominant cost is loop setup and A-row traffic, both of which
-			// this amortizes 4×.
-			for ; j+3 < j1; j += 4 {
-				b0 := b[j*k : j*k+k]
-				b1 := b[(j+1)*k : (j+1)*k+k]
-				b2 := b[(j+2)*k : (j+2)*k+k]
-				b3 := b[(j+3)*k : (j+3)*k+k]
-				var s0, s1, s2, s3 float64
-				for kk, av := range arow {
-					s0 += av * b0[kk]
-					s1 += av * b1[kk]
-					s2 += av * b2[kk]
-					s3 += av * b3[kk]
-				}
-				crow[j] += s0
-				crow[j+1] += s1
-				crow[j+2] += s2
-				crow[j+3] += s3
-			}
-			for ; j < j1; j++ {
-				brow := b[j*k : j*k+k]
-				var s0, s1, s2, s3 float64
-				kk := 0
-				for ; kk+3 < k; kk += 4 {
-					s0 += arow[kk] * brow[kk]
-					s1 += arow[kk+1] * brow[kk+1]
-					s2 += arow[kk+2] * brow[kk+2]
-					s3 += arow[kk+3] * brow[kk+3]
-				}
-				s := s0 + s1 + s2 + s3
-				for ; kk < k; kk++ {
-					s += arow[kk] * brow[kk]
-				}
-				crow[j] += s
-			}
-		}
-	}
+	GemmNTStrided(m, n, k, a, k, b, k, c, acc)
 }
 
 // GemmNTStrided is GemmNT with explicit row strides: row i of A starts at
 // a[i*lda], row j of B at b[j*ldb] (both rows still contiguous and k long);
-// C is m×n row-major as in GemmNT. The panel structure and per-element
-// accumulator pattern are copied verbatim from GemmNT, so for equal
-// (m, n, k) the result is bit-identical to GemmNT on densely packed
-// operands — this is what lets the batched conv backward accumulate dW one
-// sample at a time, in trajectory order, straight out of the channel-major
-// batched gradient and column matrices (row strides nb·h·w and cb·h·w)
-// while staying byte-identical to the sequential per-step GemmNT calls.
+// C is m×n row-major as in GemmNT. The per-element accumulator pattern
+// depends only on (n, k) and the column index, so for equal (m, n, k) the
+// result is bit-identical to GemmNT on densely packed operands.
+//
+// B rows are taken in panels of jc so one panel is reused across the whole
+// i sweep (~256 KiB of B per panel). Within a panel, aligned groups of four
+// columns get a strictly sequential single-accumulator dot per element
+// (dot4x4, four output rows at a time), and the ≤3 leftover columns get the
+// four-lane interleaved dot.
 func GemmNTStrided(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, acc bool) {
 	if lda < k || ldb < k {
 		panic(fmt.Sprintf("tensor: GemmNTStrided strides (%d,%d) below k=%d", lda, ldb, k))
@@ -209,56 +111,58 @@ func GemmNTStrided(m, n, k int, a []float64, lda int, b []float64, ldb int, c []
 		clear(c[:m*n])
 	}
 	if k == 1 {
+		// Rank-1 update fast path (Dense dW with a single column): a plain
+		// outer product streaming c, and b too when it is dense.
 		for i := 0; i < m; i++ {
 			av := a[i*lda]
 			crow := c[i*n : i*n+n]
+			if ldb == 1 {
+				axpy1(crow, b, av)
+				continue
+			}
 			for j := range crow {
 				crow[j] += av * b[j*ldb]
 			}
 		}
 		return
 	}
+	var rows, cols [4][]float64
+	var s [16]float64
 	jc := max(4, 32768/k)
 	for j0 := 0; j0 < n; j0 += jc {
 		j1 := min(j0+jc, n)
-		for i := 0; i < m; i++ {
-			arow := a[i*lda : i*lda+k]
-			crow := c[i*n : i*n+n]
-			j := j0
-			for ; j+3 < j1; j += 4 {
-				b0 := b[j*ldb : j*ldb+k]
-				b1 := b[(j+1)*ldb : (j+1)*ldb+k]
-				b2 := b[(j+2)*ldb : (j+2)*ldb+k]
-				b3 := b[(j+3)*ldb : (j+3)*ldb+k]
-				var s0, s1, s2, s3 float64
-				for kk, av := range arow {
-					s0 += av * b0[kk]
-					s1 += av * b1[kk]
-					s2 += av * b2[kk]
-					s3 += av * b3[kk]
-				}
-				crow[j] += s0
-				crow[j+1] += s1
-				crow[j+2] += s2
-				crow[j+3] += s3
+		j4 := j0 + (j1-j0)&^3
+		for i0 := 0; i0 < m; i0 += 4 {
+			nr := min(4, m-i0)
+			for r := 0; r < nr; r++ {
+				rows[r] = a[(i0+r)*lda:][:k]
 			}
-			for ; j < j1; j++ {
-				brow := b[j*ldb : j*ldb+k]
-				var s0, s1, s2, s3 float64
-				kk := 0
-				for ; kk+3 < k; kk += 4 {
-					s0 += arow[kk] * brow[kk]
-					s1 += arow[kk+1] * brow[kk+1]
-					s2 += arow[kk+2] * brow[kk+2]
-					s3 += arow[kk+3] * brow[kk+3]
+			for j := j0; j < j4; j += 4 {
+				for q := range cols {
+					cols[q] = b[(j+q)*ldb:][:k]
 				}
-				s := s0 + s1 + s2 + s3
-				for ; kk < k; kk++ {
-					s += arow[kk] * brow[kk]
-				}
-				crow[j] += s
+				dot4x4(rows[:nr], &cols, &s)
+				addSums(c[i0*n+j:], n, nr, &s)
 			}
 		}
+		for j := j4; j < j1; j++ {
+			brow := b[j*ldb:][:k]
+			for i := 0; i < m; i++ {
+				c[i*n+j] += dotLanes(a[i*lda:][:k], brow)
+			}
+		}
+	}
+}
+
+// addSums adds the nr×4 block of dot4x4 sums into C, block row r starting
+// at c[r*ldc].
+func addSums(c []float64, ldc, nr int, s *[16]float64) {
+	for r := 0; r < nr; r++ {
+		crow := c[r*ldc:][:4]
+		crow[0] += s[4*r]
+		crow[1] += s[4*r+1]
+		crow[2] += s[4*r+2]
+		crow[3] += s[4*r+3]
 	}
 }
 
@@ -276,11 +180,7 @@ func GemmTN(m, n, k int, a, b, c []float64, acc bool) {
 		// rows of A so every load is contiguous instead of striding down
 		// A's columns one element at a time.
 		for l := 0; l < k; l++ {
-			bv := b[l]
-			arow := a[l*m : l*m+m]
-			for i, av := range arow {
-				c[i] += av * bv
-			}
+			axpy1(c[:m], a[l*m:], b[l])
 		}
 		return
 	}
@@ -293,21 +193,14 @@ func GemmTN(m, n, k int, a, b, c []float64, acc bool) {
 			b2 := b[(l+2)*n+j0 : (l+2)*n+j1]
 			b3 := b[(l+3)*n+j0 : (l+3)*n+j1]
 			for i := 0; i < m; i++ {
-				a0, a1, a2, a3 := a[l*m+i], a[(l+1)*m+i], a[(l+2)*m+i], a[(l+3)*m+i]
-				crow := c[i*n+j0 : i*n+j1]
-				for j := range crow {
-					crow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
+				axpy4(c[i*n+j0:i*n+j1], b0, b1, b2, b3,
+					a[l*m+i], a[(l+1)*m+i], a[(l+2)*m+i], a[(l+3)*m+i])
 			}
 		}
 		for ; l < k; l++ {
 			brow := b[l*n+j0 : l*n+j1]
 			for i := 0; i < m; i++ {
-				av := a[l*m+i]
-				crow := c[i*n+j0 : i*n+j1]
-				for j := range crow {
-					crow[j] += av * brow[j]
-				}
+				axpy1(c[i*n+j0:i*n+j1], brow, a[l*m+i])
 			}
 		}
 	}
