@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race cross fuzz-smoke bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search trace-smoke profile-smoke
+.PHONY: ci vet build test race cross fuzz-smoke loc bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search trace-smoke profile-smoke
 
 ci: vet build test race cross
 
@@ -25,21 +25,27 @@ race:
 cross:
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
-# Short fuzz of the AVX2 primitives against their Go twins (bit-for-bit
-# parity; the committed seed corpus lives in internal/tensor/testdata/fuzz).
+# Short fuzzes, bit-for-bit: the AVX2 primitives against their Go twins,
+# and the fused conv kernels against the lowered im2col/GEMM oracle. The
+# committed seed corpora live in internal/tensor/testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSIMDMatchesGeneric -fuzztime 5s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzConvFusedMatchesLowered -fuzztime 5s ./internal/tensor/
+
+# Non-test Go line count outside perfbench/, the size ROADMAP tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l
 
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' .
 
-# Quick kernel-iteration loop for the DNN hot path (im2col/GEMM convs,
-# scratch arenas): just the DNN/GEMM micro-benchmarks, with allocation
-# counts, then the fused conv kernels at the default 8×8 net's layer shapes
-# on the AVX2 primitives (simd) and on their Go twins (generic). Before/after
-# numbers for PR 2 live in BENCH_PR2.json.
+# Quick kernel-iteration loop for the DNN hot path (fused padded-plane
+# convs, scratch arenas): the whole-network DNN micro-benchmarks, with
+# allocation counts, then the fused conv kernels at the default 8×8 net's
+# layer shapes on the AVX2 primitives (simd) and on their Go twins
+# (generic). Before/after numbers for PR 2 live in BENCH_PR2.json.
 bench-nn:
-	$(GO) test -bench 'BenchmarkDNN|BenchmarkGemm|BenchmarkIm2col' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkDNN' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkConvFused' -benchmem -run '^$$' ./internal/tensor/
 
 # Quick iteration loop for the simulator hot path (zero-alloc Step/Run:
@@ -64,19 +70,17 @@ bench-drl:
 	$(GO) test -bench 'BenchmarkDRLEpisode' -benchmem -run '^$$' ./internal/drl/
 
 # Quick iteration loop for the batched-inference service (internal/infer
-# broker, nn.ForwardBatch + the f32 InferNet, fingerprint-keyed evaluation
-# cache). Runs both precisions side by side: BenchmarkDNNForwardBatch (f64)
-# vs BenchmarkDNNForwardBatchF32 per-sample at B=1/8/32, and broker-routed
-# episodes under f64 vs f32. The PR 7 gate is f32 B=8/32 ns/sample strictly
-# below single-sample f64 Forward on the 8×8 and 10×10 nets. Before/after
-# numbers: BENCH_PR5.json (f64 baseline), BENCH_PR7.json (f64 vs f32).
+# broker, nn.ForwardBatch in evaluation mode, fingerprint-keyed evaluation
+# cache): BenchmarkDNNForwardBatch per-sample at B=1/8/32 against
+# single-sample BenchmarkDNNForward, and broker-routed episodes.
+# Before/after numbers for PR 5 live in BENCH_PR5.json.
 bench-infer:
 	$(GO) test -bench 'BenchmarkDNNForwardBatch|BenchmarkDNNForward$$' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkDRLEpisode' -benchmem -run '^$$' ./internal/drl/
 
 # Quick iteration loop for the batched trajectory trainer (rl.A2C tiles
-# driving nn.ForwardBatchTrain/BackwardBatch over the fused padded-plane
-# conv kernels): sequential-vs-batched A2CAccumulate at H ∈ {8,16,32} on the
+# driving nn.ForwardBatch(..., train=true)/BackwardBatch over the fused
+# padded-plane conv kernels): sequential-vs-batched A2CAccumulate at H ∈ {8,16,32} on the
 # 8×8 and 10×10 nets, plus the end-to-end episode benchmark. The regression
 # signals are allocs/op = 0 on the warmed trainer and the seq/batched
 # ns/step ratio. Before/after numbers for PR 9 live in BENCH_PR9.json.

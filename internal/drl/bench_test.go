@@ -68,16 +68,44 @@ func BenchmarkDRLEpisodeTraced(b *testing.B) {
 // Reports the cache hit rate alongside ns/op. Before/after numbers for
 // PR 5 live in BENCH_PR5.json.
 func BenchmarkDRLEpisodeBroker(b *testing.B) {
-	benchEpisodeBroker(b, false)
-}
-
-// BenchmarkDRLEpisodeBrokerF32 is BenchmarkDRLEpisodeBroker with the
-// broker evaluating on the float32 inference engine — the end-to-end view
-// of the f32 working-set reduction under real coalescing/caching. PR 7's
-// before/after (against BenchmarkDRLEpisodeBroker and the PR 5 baseline)
-// lives in BENCH_PR7.json.
-func BenchmarkDRLEpisodeBrokerF32(b *testing.B) {
-	benchEpisodeBroker(b, true)
+	const workers = 4
+	for _, n := range []int{8, 10} {
+		b.Run(strconv.Itoa(n)+"x"+strconv.Itoa(n), func(b *testing.B) {
+			cfg := DefaultConfig(n, 2*(n-1))
+			cfg.NN = nn.Config{N: n, BaseChannels: 2, Pools: 2}
+			cfg.Threads = workers
+			cfg.InferBatch = 8
+			s := MustNew(cfg)
+			stop := s.startBroker()
+			defer stop()
+			nets := make([]*nn.PolicyValueNet, workers)
+			arenas := make([]*episodeArena, workers)
+			for w := range nets {
+				nets[w] = nn.NewPolicyValueNet(cfg.NN, cfg.Seed+int64(w))
+				arenas[w] = s.newArena()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(7 + int64(w)))
+					for next.Add(1) <= int64(b.N) {
+						s.runEpisode(nets[w], rng, cfg.GuidedActions, arenas[w])
+					}
+				}(w)
+			}
+			wg.Wait()
+			b.StopTimer()
+			st := s.InferStats()
+			if st.Requests > 0 {
+				b.ReportMetric(float64(st.Hits)/float64(st.Requests), "cache_hit_rate")
+			}
+		})
+	}
 }
 
 // BenchmarkParamServerRoundTrip measures the per-episode parameter exchange
@@ -187,48 +215,6 @@ func BenchmarkDRLSearchThreads(b *testing.B) {
 			}
 			b.ReportMetric(treeFrac, "tree_contended_frac")
 			b.ReportMetric(servFrac, "server_contended_frac")
-		})
-	}
-}
-
-func benchEpisodeBroker(b *testing.B, f32 bool) {
-	const workers = 4
-	for _, n := range []int{8, 10} {
-		b.Run(strconv.Itoa(n)+"x"+strconv.Itoa(n), func(b *testing.B) {
-			cfg := DefaultConfig(n, 2*(n-1))
-			cfg.NN = nn.Config{N: n, BaseChannels: 2, Pools: 2}
-			cfg.Threads = workers
-			cfg.InferBatch = 8
-			cfg.InferF32 = f32
-			s := MustNew(cfg)
-			stop := s.startBroker()
-			defer stop()
-			nets := make([]*nn.PolicyValueNet, workers)
-			arenas := make([]*episodeArena, workers)
-			for w := range nets {
-				nets[w] = nn.NewPolicyValueNet(cfg.NN, cfg.Seed+int64(w))
-				arenas[w] = s.newArena()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(7 + int64(w)))
-					for next.Add(1) <= int64(b.N) {
-						s.runEpisode(nets[w], rng, cfg.GuidedActions, arenas[w])
-					}
-				}(w)
-			}
-			wg.Wait()
-			b.StopTimer()
-			st := s.InferStats()
-			if st.Requests > 0 {
-				b.ReportMetric(float64(st.Hits)/float64(st.Requests), "cache_hit_rate")
-			}
 		})
 	}
 }

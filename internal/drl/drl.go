@@ -44,8 +44,8 @@ type Config struct {
 	// LR/GradClip/Gamma drive actor-critic training (Eqs. 17–20).
 	LR, GradClip, Gamma float64
 	// TrainBatch is the tile size of the batched trajectory update: each
-	// worker's A2C pass evaluates up to this many trajectory steps per fused
-	// ForwardBatchTrain/BackwardBatch cycle instead of one Forward/Backward
+	// worker's A2C pass evaluates up to this many trajectory steps per
+	// training ForwardBatch/BackwardBatch cycle instead of one Forward/Backward
 	// per step. Both paths accumulate bit-identical gradients and BatchNorm
 	// statistics, so this is purely a throughput knob. Zero selects the
 	// rl.DefaultA2C tile; negative values force the per-step sequential
@@ -85,12 +85,6 @@ type Config struct {
 	// InferCacheSize sizes the broker's evaluation cache (0 = broker
 	// default, negative = caching disabled). Ignored when InferBatch == 0.
 	InferCacheSize int
-	// InferF32 routes brokered evaluations through the float32 inference
-	// engine (nn.InferNet, re-quantized from the f64 weights on every
-	// sync): about half the inference working set in exchange for ≤1e-4
-	// relative drift on priors and value. Training and the legacy
-	// per-worker path stay f64. Ignored when InferBatch == 0.
-	InferF32 bool
 	// InferFlush, when > 0, is the broker's batch top-up window: after the
 	// first request of a batch arrives the collector waits up to this long
 	// for more before flushing. Zero flushes on quiescence. Longer waits
@@ -321,16 +315,11 @@ func (s *Searcher) Run() *Result {
 func (s *Searcher) startBroker() func() {
 	net := nn.NewPolicyValueNet(s.cfg.NN, s.cfg.Seed)
 	net.SetWeights(s.server.snapshot())
-	prec := infer.F64
-	if s.cfg.InferF32 {
-		prec = infer.F32
-	}
 	br := infer.New(infer.Config{
 		Net:       net,
 		Batch:     s.cfg.InferBatch,
 		FlushWait: s.cfg.InferFlush,
 		CacheSize: s.cfg.InferCacheSize,
-		Precision: prec,
 		Metrics:   s.cfg.Metrics,
 		Trace:     s.cfg.Trace,
 	})
@@ -367,7 +356,7 @@ func (s *Searcher) worker(tid, episodes int) {
 	var weights, grads, stats []float64
 	if s.cfg.UseDNN {
 		// Each worker owns its network — and with it the network's scratch
-		// arena (im2col buffers, activation/gradient tensors), which is
+		// arena (padded planes, activation/gradient tensors), which is
 		// not goroutine-safe. Only flat weight/grad vectors cross the
 		// worker boundary, through these per-worker reusable buffers, so
 		// the steady-state training loop performs no heap allocation.

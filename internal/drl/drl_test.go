@@ -233,7 +233,7 @@ func TestSearchMultiThreadedStriped(t *testing.T) {
 
 // TestSearchBatchedTrainingNoDrift is the same-seed search-drift gate for
 // the batched trajectory update: a single-threaded search trained through
-// the fused ForwardBatchTrain/BackwardBatch tiles must reproduce the
+// the training ForwardBatch/BackwardBatch tiles must reproduce the
 // sequential per-step trainer's run exactly — same episode outcomes, same
 // per-episode value MSE to the bit, same designs — because the two paths
 // accumulate bit-identical gradients and BatchNorm statistics.

@@ -6,7 +6,7 @@ import (
 	"routerless/internal/tensor"
 )
 
-// Arena owns a network's scratch memory: im2col column matrices, layer
+// Arena owns a network's scratch memory: padded conv planes, layer
 // outputs, and gradient tensors. Buffers are handed out through layer-held
 // handles and reused across steps, so a warmed-up Forward/Backward cycle
 // performs no heap allocation. An arena (and therefore a network and its
@@ -86,17 +86,6 @@ func (a *Arena) ints(p *[]int, n int) []int {
 	return s
 }
 
-// bools resizes *p to n (contents unspecified).
-func (a *Arena) bools(p *[]bool, n int) []bool {
-	s := *p
-	if cap(s) < n {
-		s = make([]bool, n)
-	}
-	s = s[:n]
-	*p = s
-	return s
-}
-
 // ensureArena lazily gives a standalone layer its own private arena; layers
 // assembled into a PolicyValueNet share the network's arena instead (see
 // attachArena).
@@ -119,8 +108,6 @@ func attachArena(a *Arena, l Layer) {
 	case *ReLU:
 		v.arena = a
 	case *MaxPool:
-		v.arena = a
-	case *Dense:
 		v.arena = a
 	case *Sequential:
 		for _, inner := range v.Layers {

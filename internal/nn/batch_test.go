@@ -75,7 +75,7 @@ func copyOutput(out *Output) *Output {
 // The byte-identity satellite: ForwardBatch over B stacked states must
 // reproduce B independent Forward calls bit-for-bit — policy logits and
 // softmax groups, pre-tanh direction, and value — across batch sizes,
-// including B=1 and batches larger than the conv chunk budget.
+// including B=1.
 func TestForwardBatchMatchesForwardByteIdentical(t *testing.T) {
 	for _, n := range []int{4, 5} {
 		t.Run(strconv.Itoa(n)+"x"+strconv.Itoa(n), func(t *testing.T) {
@@ -89,69 +89,13 @@ func TestForwardBatchMatchesForwardByteIdentical(t *testing.T) {
 					want[i] = copyOutput(net.Forward(s, false))
 				}
 				outs := make([]Output, bs)
-				net.ForwardBatch(states, outs)
+				net.ForwardBatch(states, outs, false)
 				for i := range outs {
 					assertOutputsEqual(t, "B="+strconv.Itoa(bs)+" sample "+strconv.Itoa(i),
 						&outs[i], want[i])
 				}
 			}
 		})
-	}
-}
-
-// Forcing a tiny im2col budget exercises the chunked conv path (partial
-// chunks routed through the scatter buffer); results must not change.
-func TestForwardBatchChunkedConvByteIdentical(t *testing.T) {
-	net := NewPolicyValueNet(TestConfig(4), 5)
-	perturbNet(net, 29)
-	rng := rand.New(rand.NewSource(31))
-	states := randStates(rng, 4, 5)
-	want := make([]*Output, len(states))
-	for i, s := range states {
-		want[i] = copyOutput(net.Forward(s, false))
-	}
-	defer func(old int) { batchColsBudget = old }(batchColsBudget)
-	for _, budget := range []int{1, 4096, 20000} { // chunk = 1, small, mixed
-		batchColsBudget = budget
-		outs := make([]Output, len(states))
-		net.ForwardBatch(states, outs)
-		for i := range outs {
-			assertOutputsEqual(t, "budget "+strconv.Itoa(budget)+" sample "+strconv.Itoa(i),
-				&outs[i], want[i])
-		}
-	}
-}
-
-// Interleaving batched inference with a training step must not corrupt
-// either path: the batch scratch is disjoint from the training caches.
-func TestForwardBatchDoesNotDisturbTraining(t *testing.T) {
-	cfg := TestConfig(4)
-	ref := NewPolicyValueNet(cfg, 7)
-	mix := NewPolicyValueNet(cfg, 7)
-	rng := rand.New(rand.NewSource(37))
-	states := randStates(rng, 4, 4)
-	var dl [4][]float64
-	for g := range dl {
-		dl[g] = make([]float64, cfg.N)
-		dl[g][g%cfg.N] = 0.5
-	}
-	outs := make([]Output, len(states))
-	for step := 0; step < 3; step++ {
-		// ref: pure training. mix: batched inference wedged mid-cycle.
-		ref.Forward(states[0], true)
-		mix.Forward(states[0], true)
-		mix.ForwardBatch(states, outs)
-		ref.Backward(dl, 0.1, -0.2)
-		mix.Backward(dl, 0.1, -0.2)
-		refG := ref.GetGrads()
-		mixG := mix.GetGrads()
-		for i := range refG {
-			if refG[i] != mixG[i] {
-				t.Fatalf("step %d grad %d diverged: %v vs %v", step, i, refG[i], mixG[i])
-			}
-		}
-		SGD{LR: 0.01}.Step(ref)
-		SGD{LR: 0.01}.Step(mix)
 	}
 }
 
@@ -163,17 +107,23 @@ func TestForwardBatchZeroAllocWarm(t *testing.T) {
 	states := randStates(rng, 4, 8)
 	outs := make([]Output, 8)
 	net.WarmBatch(8)
-	net.ForwardBatch(states, outs) // populate the output slices too
+	net.ForwardBatch(states, outs, false) // populate the output slices too
 	if allocs := testing.AllocsPerRun(50, func() {
-		net.ForwardBatch(states, outs)
+		net.ForwardBatch(states, outs, false)
 	}); allocs != 0 {
 		t.Fatalf("warmed ForwardBatch allocates %.0f times per batch, want 0", allocs)
 	}
 	// Smaller batches reuse the same warmed scratch.
 	if allocs := testing.AllocsPerRun(50, func() {
-		net.ForwardBatch(states[:3], outs[:3])
+		net.ForwardBatch(states[:3], outs[:3], false)
 	}); allocs != 0 {
 		t.Fatalf("warmed ForwardBatch(B=3) allocates %.0f times per batch, want 0", allocs)
+	}
+	// So does the single-sample evaluation Forward the per-worker search runs.
+	if allocs := testing.AllocsPerRun(50, func() {
+		net.Forward(states[0], false)
+	}); allocs != 0 {
+		t.Fatalf("warmed Forward allocates %.0f times per call, want 0", allocs)
 	}
 }
 

@@ -1,9 +1,8 @@
 package nn
 
-// Tests pinning the im2col + GEMM convolution path against the retained
-// naive reference (NaiveForward/NaiveBackward), checking its gradients by
-// central differences, and guarding the zero-allocation steady state of
-// the whole network.
+// Tests pinning the Conv2D layer to the per-sample reference convolutions
+// in naive_test.go, checking gradients by central differences, and
+// guarding the zero-allocation steady state of the whole network.
 
 import (
 	"math"
@@ -25,10 +24,31 @@ var convParityShapes = []struct{ inC, outC, k, h, w int }{
 	{1, 2, 5, 4, 4}, // kernel wider than half the map
 }
 
-func maxAbsDiffT(a, b *tensor.Tensor) float64 {
+// convInput draws a batched (inC, nb, h, w) input and returns it with its
+// per-sample (inC, h, w) views.
+func convInput(rng *rand.Rand, inC, nb, h, w int) (*tensor.Tensor, [][]float64) {
+	x := tensor.Randn(rng, 1, inC, nb, h, w)
+	return x, samplesOf(x)
+}
+
+// samplesOf copies each sample of a channel-major (C, B, H, W) tensor out
+// as a contiguous (C, H, W) slice.
+func samplesOf(x *tensor.Tensor) [][]float64 {
+	c, nb, hw := x.Shape[0], x.Shape[1], x.Shape[2]*x.Shape[3]
+	out := make([][]float64, nb)
+	for bi := range out {
+		out[bi] = make([]float64, c*hw)
+		for ci := 0; ci < c; ci++ {
+			copy(out[bi][ci*hw:(ci+1)*hw], x.Data[(ci*nb+bi)*hw:(ci*nb+bi+1)*hw])
+		}
+	}
+	return out
+}
+
+func maxAbsDiffS(a, b []float64) float64 {
 	d := 0.0
-	for i := range a.Data {
-		if v := math.Abs(a.Data[i] - b.Data[i]); v > d {
+	for i := range a {
+		if v := math.Abs(a[i] - b[i]); v > d {
 			d = v
 		}
 	}
@@ -43,14 +63,12 @@ func TestConvForwardParityWithNaive(t *testing.T) {
 		for i := range l.Bias.W.Data {
 			l.Bias.W.Data[i] = rng.NormFloat64()
 		}
-		x := tensor.Randn(rng, 1, sh.inC, sh.h, sh.w)
-		fast := l.Forward(x, true)
-		naive := l.NaiveForward(x)
-		if fast.Size() != naive.Size() {
-			t.Fatalf("%+v: size %d vs %d", sh, fast.Size(), naive.Size())
-		}
-		if d := maxAbsDiffT(fast, naive); d > 1e-9 {
-			t.Fatalf("%+v: forward diff %g > 1e-9", sh, d)
+		x, samples := convInput(rng, sh.inC, 2, sh.h, sh.w)
+		fast := samplesOf(l.Forward(x, true))
+		for bi, s := range samples {
+			if d := maxAbsDiffS(fast[bi], naiveConvForward(l, s, sh.h, sh.w)); d > 1e-9 {
+				t.Fatalf("%+v sample %d: forward diff %g > 1e-9", sh, bi, d)
+			}
 		}
 	}
 }
@@ -59,38 +77,84 @@ func TestConvBackwardParityWithNaive(t *testing.T) {
 	for _, sh := range convParityShapes {
 		rng := rand.New(rand.NewSource(int64(sh.outC*100 + sh.h)))
 		l := NewConv2D(rng, "c", sh.inC, sh.outC, sh.k)
-		x := tensor.Randn(rng, 1, sh.inC, sh.h, sh.w)
-		grad := tensor.Randn(rng, 1, sh.outC, sh.h, sh.w)
+		x, samples := convInput(rng, sh.inC, 2, sh.h, sh.w)
+		grad := tensor.Randn(rng, 1, sh.outC, 2, sh.h, sh.w)
 
 		l.Forward(x, true)
-		for _, p := range l.Params() {
-			p.G.Fill(0)
-		}
-		dxFast := l.Backward(grad).Clone()
+		dxFast := samplesOf(l.Backward(grad, true))
 		dwFast := l.Weight.G.Clone()
 		dbFast := l.Bias.G.Clone()
 
-		l.NaiveForward(x)
 		for _, p := range l.Params() {
 			p.G.Fill(0)
 		}
-		dxNaive := l.NaiveBackward(grad)
-
-		if d := maxAbsDiffT(dxFast, dxNaive); d > 1e-9 {
-			t.Fatalf("%+v: dX diff %g > 1e-9", sh, d)
+		for bi, g := range samplesOf(grad) {
+			dxNaive := naiveConvBackward(l, samples[bi], g, sh.h, sh.w)
+			if d := maxAbsDiffS(dxFast[bi], dxNaive); d > 1e-9 {
+				t.Fatalf("%+v sample %d: dX diff %g > 1e-9", sh, bi, d)
+			}
 		}
-		if d := maxAbsDiffT(dwFast, l.Weight.G); d > 1e-9 {
+		if d := maxAbsDiffS(dwFast.Data, l.Weight.G.Data); d > 1e-9 {
 			t.Fatalf("%+v: dW diff %g > 1e-9", sh, d)
 		}
-		if d := maxAbsDiffT(dbFast, l.Bias.G); d > 1e-9 {
+		if d := maxAbsDiffS(dbFast.Data, l.Bias.G.Data); d > 1e-9 {
 			t.Fatalf("%+v: dB diff %g > 1e-9", sh, d)
 		}
 	}
 }
 
+// TestConvMatchesLoweredOracle pins the Conv2D layer to the lowered
+// per-sample oracle bit for bit, at B=1 and B>1: forward outputs, and dW,
+// dB and dX accumulated into live (non-zero) gradient buffers, sample by
+// sample in ascending order. Shapes add an even kernel (the stem's
+// geometry when N is even) to the parity set.
+func TestConvMatchesLoweredOracle(t *testing.T) {
+	shapes := append([]struct{ inC, outC, k, h, w int }{
+		{1, 3, 4, 6, 6},  // even kernel
+		{5, 6, 3, 4, 4},  // outC past the four-lane group
+		{16, 4, 3, 5, 4}, // inC·k·k = 144 crosses a reduction panel
+	}, convParityShapes...)
+	for _, sh := range shapes {
+		for _, nb := range []int{1, 3} {
+			rng := rand.New(rand.NewSource(int64(sh.inC*1000 + sh.k*10 + nb)))
+			l := NewConv2D(rng, "c", sh.inC, sh.outC, sh.k)
+			for _, p := range l.Params() {
+				for i := range p.W.Data {
+					p.W.Data[i] = rng.NormFloat64()
+				}
+				for i := range p.G.Data {
+					p.G.Data[i] = rng.NormFloat64()
+				}
+			}
+			ref := &Conv2D{InC: l.InC, OutC: l.OutC, K: l.K,
+				Weight: &Param{W: l.Weight.W, G: l.Weight.G.Clone()},
+				Bias:   &Param{W: l.Bias.W, G: l.Bias.G.Clone()}}
+			x, samples := convInput(rng, sh.inC, nb, sh.h, sh.w)
+			grad := tensor.Randn(rng, 1, sh.outC, nb, sh.h, sh.w)
+			out := samplesOf(l.Forward(x, true))
+			dx := samplesOf(l.Backward(grad, true))
+			for bi, g := range samplesOf(grad) {
+				assertBitsEqual(t, sh, nb, "forward", out[bi], loweredConvForward(ref, samples[bi], sh.h, sh.w))
+				assertBitsEqual(t, sh, nb, "dX", dx[bi], loweredConvBackward(ref, samples[bi], g, sh.h, sh.w))
+			}
+			assertBitsEqual(t, sh, nb, "dW", l.Weight.G.Data, ref.Weight.G.Data)
+			assertBitsEqual(t, sh, nb, "dB", l.Bias.G.Data, ref.Bias.G.Data)
+		}
+	}
+}
+
+func assertBitsEqual(t *testing.T, sh any, nb int, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%+v B=%d %s elem %d: layer %v, lowered oracle %v", sh, nb, what, i, got[i], want[i])
+		}
+	}
+}
+
 // TestConvGradientCheckSmall runs the central-difference check on small
-// conv layers through the GEMM path, including K=1 and a non-square map
-// (TestConv2DGradients in layer_test.go covers the 3×3 case).
+// conv layers, including K=1 and a non-square map (TestConv2DGradients in
+// layer_test.go covers the 3×3 case).
 func TestConvGradientCheckSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, sh := range []struct{ inC, outC, k, h, w int }{
@@ -98,14 +162,14 @@ func TestConvGradientCheckSmall(t *testing.T) {
 		{2, 3, 3, 4, 5},
 	} {
 		l := NewConv2D(rng, "c", sh.inC, sh.outC, sh.k)
-		x := tensor.Randn(rng, 1, sh.inC, sh.h, sh.w)
+		x := tensor.Randn(rng, 1, sh.inC, 2, sh.h, sh.w)
 		checkLayerGradients(t, l, x, 1e-4)
 	}
 }
 
 // TestTrainBatchGradientCheck validates the batched training path against
 // ground truth rather than against the sequential oracle: parameter
-// gradients accumulated by one ForwardBatchTrain + BackwardBatch must match
+// gradients accumulated by one training ForwardBatch + BackwardBatch must match
 // central differences of a scalar loss over the batch. The loss reads each
 // head through an invertible link — Σ c·log p for the softmax groups (so
 // dL/dlogit_j = c_j − p_j·Σc), c·atanh(Dir) for the tanh direction head (so
@@ -133,7 +197,7 @@ func TestTrainBatchGradientCheck(t *testing.T) {
 
 	outs := make([]Output, nb)
 	loss := func() float64 {
-		net.ForwardBatchTrain(states, outs)
+		net.ForwardBatch(states, outs, true)
 		s := 0.0
 		for b := range outs {
 			o := &outs[b]
@@ -148,7 +212,7 @@ func TestTrainBatchGradientCheck(t *testing.T) {
 	}
 
 	net.ZeroGrads()
-	net.ForwardBatchTrain(states, outs)
+	net.ForwardBatch(states, outs, true)
 	flat := make([]float64, nb*4*nc)
 	for b := range outs {
 		for g := 0; g < 4; g++ {
@@ -186,7 +250,7 @@ func TestTrainBatchGradientCheck(t *testing.T) {
 }
 
 // TestNetworkSteadyStateAllocs asserts the warmed-up hot path allocates
-// nothing: every tensor, im2col matrix, and output slice is arena-owned
+// nothing: every tensor, padded plane, and output slice is arena-owned
 // and reused. The bound is exactly 0 allocations per Forward+Backward
 // cycle; raise it only with a comment justifying each new allocation.
 func TestNetworkSteadyStateAllocs(t *testing.T) {

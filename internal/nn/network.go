@@ -58,56 +58,37 @@ type PolicyValueNet struct {
 	vConv *Sequential
 	vFC   *Dense // -> 1
 
-	trunkOut *tensor.Tensor
-	pConvOut *tensor.Tensor
-	dConvOut *tensor.Tensor
-	vConvOut *tensor.Tensor
-
 	params []*Param
-
-	// Scratch owned by this network instance (one arena per network; one
-	// network per learner goroutine — see Arena). in and out are the
-	// reusable input tensor and output struct, flat/dDirT/dValT back the
-	// head-gradient tensors fed into Backward.
-	arena *Arena
-	in    *tensor.Tensor
-	out   Output
-	flat  *tensor.Tensor
-	dDirT *tensor.Tensor
-	dValT *tensor.Tensor
-
-	// Batched-inference scratch (batch.go): the (1, B, N², N²) input tensor
-	// and the sample-major head repack buffers.
-	bin *tensor.Tensor
-	bpX *tensor.Tensor
-	bdX *tensor.Tensor
-	bvX *tensor.Tensor
-
-	// Batched-training scratch (train_batch.go): input tensor, sample-major
-	// head repack/unpack buffers, and the head-gradient row tensors fed into
-	// BackwardBatch. Disjoint from both the per-sample and inference-batch
-	// handles so the three paths can interleave on one net.
-	tbin   *tensor.Tensor
-	tpX    *tensor.Tensor
-	tdX    *tensor.Tensor
-	tvX    *tensor.Tensor
-	tpUn   *tensor.Tensor
-	tdUn   *tensor.Tensor
-	tvUn   *tensor.Tensor
-	tflat  *tensor.Tensor
-	tdDirT *tensor.Tensor
-	tdValT *tensor.Tensor
-	// Head conv outputs of the last ForwardBatchTrain (references, not
-	// handles): BackwardBatch reads their shapes to unpack the FC row
-	// gradients back into the channel-major layout.
-	tbpOut *tensor.Tensor
-	tbdOut *tensor.Tensor
-	tbvOut *tensor.Tensor
 
 	// bns lists every BatchNorm in construction order, backing the running-
 	// statistics vector (NumStats/CopyStatsInto/SetStats) that inference
-	// evaluators sync alongside the weights.
+	// evaluators sync alongside the weights, and the saved model format.
 	bns []*BatchNorm
+
+	// Scratch owned by this network instance (one arena per network; one
+	// network per learner goroutine — see Arena).
+	arena *Arena
+	// trainB is the batch size of the most recent forward if it ran in
+	// training mode, 0 otherwise: the layers keep one set of caches, so
+	// BackwardBatch is valid only right after a training ForwardBatch of
+	// the same size.
+	trainB int
+	// in is the (1, B, N², N²) input; pX/dX/vX are the heads' sample-major
+	// repacks of their conv outputs (the *ConvOut references, which
+	// BackwardBatch reads for the unpack shapes); pUn/dUn/vUn unpack the FC
+	// row gradients back to channel-major; flat/dDirT/dValT hold the head
+	// gradients fed into BackwardBatch.
+	in                           *tensor.Tensor
+	pX, dX, vX                   *tensor.Tensor
+	pConvOut, dConvOut, vConvOut *tensor.Tensor
+	pUn, dUn, vUn                *tensor.Tensor
+	flat, dDirT, dValT           *tensor.Tensor
+	// Single-sample Forward/Backward views of the batch API.
+	one   [1][]float64
+	out   [1]Output
+	dl    []float64
+	dDir1 [1]float64
+	dVal1 [1]float64
 }
 
 // NewPolicyValueNet constructs the network with the given seed.
@@ -192,22 +173,21 @@ func NewPolicyValueNet(cfg Config, seed int64) *PolicyValueNet {
 	net.params = append(net.params, net.vFC.Params()...)
 
 	// Thread one scratch arena through every layer and pre-size the
-	// persistent input/output/head-gradient buffers, so steady-state
-	// Forward/Backward cycles allocate nothing.
+	// single-sample output and head-gradient buffers, so steady-state
+	// forward/backward cycles allocate nothing.
 	net.arena = NewArena()
-	for _, l := range []Layer{net.trunk, net.pConv, net.pFC1, net.pReLU,
-		net.pFC2, net.dConv, net.dFC, net.vConv, net.vFC} {
+	for _, l := range []Layer{net.trunk, net.pConv, net.pReLU, net.dConv, net.vConv} {
 		attachArena(net.arena, l)
 		collectBatchNorms(l, &net.bns)
 	}
-	net.in = tensor.New(1, side, side)
-	for g := 0; g < 4; g++ {
-		net.out.CoordLogits[g] = make([]float64, cfg.N)
-		net.out.CoordProbs[g] = make([]float64, cfg.N)
+	for _, d := range []*Dense{net.pFC1, net.pFC2, net.dFC, net.vFC} {
+		d.arena = net.arena
 	}
-	net.flat = tensor.New(4 * cfg.N)
-	net.dDirT = tensor.New(1)
-	net.dValT = tensor.New(1)
+	for g := 0; g < 4; g++ {
+		net.out[0].CoordLogits[g] = make([]float64, cfg.N)
+		net.out[0].CoordProbs[g] = make([]float64, cfg.N)
+	}
+	net.dl = make([]float64, 4*cfg.N)
 	return net
 }
 
@@ -227,68 +207,186 @@ func (n *PolicyValueNet) NumParams() int {
 	return total
 }
 
-// Forward evaluates the network on a hop-count matrix (flattened N²×N²,
-// as produced by topo.HopMatrix). Inputs are normalized by 5N so values
-// lie in [0, 1].
+// Forward evaluates the network on one hop-count matrix (flattened
+// N²×N², as produced by topo.HopMatrix): ForwardBatch with B = 1.
 //
 // The returned Output (and its logit/probability slices) is owned by the
 // network and overwritten by the next Forward call; callers that retain it
 // across evaluations must copy what they need.
 func (n *PolicyValueNet) Forward(hopMatrix []float64, train bool) *Output {
-	side := n.Cfg.N * n.Cfg.N
-	if len(hopMatrix) != side*side {
-		panic(fmt.Sprintf("nn: input length %d, want %d", len(hopMatrix), side*side))
-	}
-	x := n.in
-	norm := 5 * float64(n.Cfg.N)
-	for i, v := range hopMatrix {
-		x.Data[i] = v / norm
-	}
-	n.trunkOut = n.trunk.Forward(x, train)
-
-	out := &n.out
-	// Policy coordinates.
-	n.pConvOut = n.pConv.Forward(n.trunkOut, train)
-	h1 := n.pReLU.Forward(n.pFC1.Forward(n.pConvOut, train), train)
-	logits := n.pFC2.Forward(h1, train)
-	for g := 0; g < 4; g++ {
-		copy(out.CoordLogits[g], logits.Data[g*n.Cfg.N:(g+1)*n.Cfg.N])
-		tensor.SoftmaxInto(out.CoordProbs[g], out.CoordLogits[g])
-	}
-	// Direction.
-	n.dConvOut = n.dConv.Forward(n.trunkOut, train)
-	dpre := n.dFC.Forward(n.dConvOut, train)
-	out.DirPre = dpre.Data[0]
-	out.Dir = math.Tanh(out.DirPre)
-	// Value.
-	n.vConvOut = n.vConv.Forward(n.trunkOut, train)
-	out.Value = n.vFC.Forward(n.vConvOut, train).Data[0]
-	return out
+	n.one[0] = hopMatrix
+	n.ForwardBatch(n.one[:], n.out[:], train)
+	n.one[0] = nil
+	return &n.out[0]
 }
 
-// Backward back-propagates head gradients from the most recent Forward:
-// dLogits are dL/d(coordinate logits) (4 groups of N), dDirPre is
-// dL/d(pre-tanh direction), dValue is dL/d(value).
+// Backward back-propagates head gradients from the most recent training
+// Forward: BackwardBatch with B = 1. dLogits are dL/d(coordinate logits)
+// (4 groups of N), dDirPre is dL/d(pre-tanh direction), dValue is
+// dL/d(value).
 func (n *PolicyValueNet) Backward(dLogits [4][]float64, dDirPre, dValue float64) {
 	for g := 0; g < 4; g++ {
-		copy(n.flat.Data[g*n.Cfg.N:], dLogits[g])
+		copy(n.dl[g*n.Cfg.N:], dLogits[g])
 	}
-	// Dense.Backward returns gradients already shaped like the cached
-	// input (the conv-head output), so no reshaping is needed. gTrunk is
-	// the p-head conv's dx buffer; the d/v head backward passes write
-	// their own buffers, so accumulating into it is alias-free.
-	gp := n.pFC2.Backward(n.flat)
-	gp = n.pReLU.Backward(gp)
-	gp = n.pFC1.Backward(gp)
-	gTrunk := n.pConv.Backward(gp)
+	n.dDir1[0], n.dVal1[0] = dDirPre, dValue
+	n.BackwardBatch(n.dl, n.dDir1[:], n.dVal1[:])
+}
 
-	n.dDirT.Data[0] = dDirPre
-	gTrunk.AddInPlace(n.dConv.Backward(n.dFC.Backward(n.dDirT)))
+// ForwardBatch evaluates len(states) hop-count matrices, filling outs[i]
+// with the result for states[i]; outs must have at least len(states)
+// elements. Inputs are normalized by 5N so values lie in [0, 1]. Per-sample
+// results do not depend on the batch: they are bit-identical to B = 1
+// calls. In training mode every layer caches what one BackwardBatch over
+// the same batch needs, and BatchNorm advances its running statistics once
+// per sample in ascending sample order — exactly as len(states) in-order
+// single-sample training forwards would. Output slices already present in
+// outs are reused, so a warmed-up call allocates nothing; the filled
+// Outputs do not alias network buffers.
+func (n *PolicyValueNet) ForwardBatch(states [][]float64, outs []Output, train bool) {
+	n.trainB = 0
+	nb := len(states)
+	if nb == 0 {
+		return
+	}
+	if len(outs) < nb {
+		panic(fmt.Sprintf("nn: ForwardBatch got %d outputs for %d states", len(outs), nb))
+	}
+	side := n.Cfg.N * n.Cfg.N
+	x := n.arena.tensorFor(&n.in, 1, nb, side, side)
+	norm := 5 * float64(n.Cfg.N)
+	for bi, st := range states {
+		if len(st) != side*side {
+			panic(fmt.Sprintf("nn: input length %d, want %d", len(st), side*side))
+		}
+		dst := x.Data[bi*side*side : (bi+1)*side*side]
+		for i, v := range st {
+			dst[i] = v / norm
+		}
+	}
+	tb := n.trunk.Forward(x, train)
 
-	n.dValT.Data[0] = dValue
-	gTrunk.AddInPlace(n.vConv.Backward(n.vFC.Backward(n.dValT)))
+	// Policy coordinates.
+	n.pConvOut = n.pConv.Forward(tb, train)
+	h1 := n.pReLU.Forward(n.pFC1.ForwardRows(packSamples(n.arena, &n.pX, n.pConvOut)), train)
+	logits := n.pFC2.ForwardRows(h1)
+	// Direction.
+	n.dConvOut = n.dConv.Forward(tb, train)
+	dpre := n.dFC.ForwardRows(packSamples(n.arena, &n.dX, n.dConvOut))
+	// Value.
+	n.vConvOut = n.vConv.Forward(tb, train)
+	val := n.vFC.ForwardRows(packSamples(n.arena, &n.vX, n.vConvOut))
 
-	n.trunk.Backward(gTrunk)
+	nc := n.Cfg.N
+	for bi := 0; bi < nb; bi++ {
+		out := &outs[bi]
+		lrow := logits.Data[bi*4*nc : (bi+1)*4*nc]
+		for g := 0; g < 4; g++ {
+			if cap(out.CoordLogits[g]) < nc {
+				out.CoordLogits[g] = make([]float64, nc)
+				out.CoordProbs[g] = make([]float64, nc)
+			}
+			out.CoordLogits[g] = out.CoordLogits[g][:nc]
+			out.CoordProbs[g] = out.CoordProbs[g][:nc]
+			copy(out.CoordLogits[g], lrow[g*nc:(g+1)*nc])
+			tensor.SoftmaxInto(out.CoordProbs[g], out.CoordLogits[g])
+		}
+		out.DirPre = dpre.Data[bi]
+		out.Dir = math.Tanh(out.DirPre)
+		out.Value = val.Data[bi]
+	}
+	if train {
+		n.trainB = nb
+	}
+}
+
+// BackwardBatch back-propagates head gradients for the whole batch of the
+// most recent ForwardBatch, which must have run in training mode on the
+// same number of samples (it panics otherwise). dLogits holds sample-major
+// rows of dL/d(coordinate logits) — nb rows of 4N — and dDirPre/dValue one
+// scalar per sample. Parameter gradients accumulate one sample at a time in
+// ascending order, bit-identical to nb single-sample Backward calls.
+func (n *PolicyValueNet) BackwardBatch(dLogits, dDirPre, dValue []float64) {
+	nb := len(dDirPre)
+	if len(dValue) != nb || len(dLogits) != nb*4*n.Cfg.N {
+		panic(fmt.Sprintf("nn: BackwardBatch got %d logit rows, %d dirs, %d values",
+			len(dLogits)/(4*n.Cfg.N), nb, len(dValue)))
+	}
+	if n.trainB != nb {
+		panic(fmt.Sprintf("nn: BackwardBatch of %d samples needs a training ForwardBatch of %d first (last forward: train batch %d)",
+			nb, nb, n.trainB))
+	}
+	flat := n.arena.tensorFor(&n.flat, nb, 4*n.Cfg.N)
+	copy(flat.Data, dLogits)
+
+	// Policy head: FC rows back to the conv head's channel-major layout.
+	// gTrunk is the p-head conv's dx buffer; the d/v head backward passes
+	// write their own buffers, so accumulating into it is alias-free.
+	gp := n.pFC2.BackwardRows(flat)
+	gp = n.pReLU.Backward(gp, true)
+	gp = n.pFC1.BackwardRows(gp)
+	gTrunk := n.pConv.Backward(unpackSamples(n.arena, &n.pUn, gp, n.pConvOut), true)
+
+	// Direction head.
+	dDirT := n.arena.tensorFor(&n.dDirT, nb, 1)
+	copy(dDirT.Data, dDirPre)
+	gd := n.dFC.BackwardRows(dDirT)
+	gTrunk.AddInPlace(n.dConv.Backward(unpackSamples(n.arena, &n.dUn, gd, n.dConvOut), true))
+
+	// Value head.
+	dValT := n.arena.tensorFor(&n.dValT, nb, 1)
+	copy(dValT.Data, dValue)
+	gv := n.vFC.BackwardRows(dValT)
+	gTrunk.AddInPlace(n.vConv.Backward(unpackSamples(n.arena, &n.vUn, gv, n.vConvOut), true))
+
+	// The trunk's first layer (the stem conv) has no consumer for its input
+	// gradient, so needDX=false skips that work.
+	n.trunk.Backward(gTrunk, false)
+}
+
+// WarmBatch runs one throwaway evaluation forward of b blank states so the
+// arena is sized for batches up to b; subsequent evaluation ForwardBatch
+// calls of any size ≤ b are allocation-free.
+func (n *PolicyValueNet) WarmBatch(b int) {
+	if b < 1 {
+		return
+	}
+	side := n.Cfg.N * n.Cfg.N
+	states := make([][]float64, b)
+	for i := range states {
+		states[i] = make([]float64, side*side)
+	}
+	n.ForwardBatch(states, make([]Output, b), false)
+}
+
+// packSamples transposes a channel-major (C, B, H, W) activation into
+// sample-major (B, C·H·W) rows — row bi is sample bi's flattened (C, H, W)
+// map — with one contiguous copy per (channel, sample) plane.
+func packSamples(a *Arena, p **tensor.Tensor, src *tensor.Tensor) *tensor.Tensor {
+	c, nb := src.Shape[0], src.Shape[1]
+	hw := src.Shape[2] * src.Shape[3]
+	dst := a.tensorFor(p, nb, c*hw)
+	for ci := 0; ci < c; ci++ {
+		for bi := 0; bi < nb; bi++ {
+			copy(dst.Data[bi*c*hw+ci*hw:bi*c*hw+(ci+1)*hw],
+				src.Data[(ci*nb+bi)*hw:(ci*nb+bi+1)*hw])
+		}
+	}
+	return dst
+}
+
+// unpackSamples is the inverse of packSamples: it transposes sample-major
+// rows back into the channel-major layout of like.
+func unpackSamples(a *Arena, p **tensor.Tensor, rows, like *tensor.Tensor) *tensor.Tensor {
+	c, nb := like.Shape[0], like.Shape[1]
+	hw := like.Shape[2] * like.Shape[3]
+	dst := a.tensorFor(p, like.Shape...)
+	for ci := 0; ci < c; ci++ {
+		for bi := 0; bi < nb; bi++ {
+			copy(dst.Data[(ci*nb+bi)*hw:(ci*nb+bi+1)*hw],
+				rows.Data[bi*c*hw+ci*hw:bi*c*hw+(ci+1)*hw])
+		}
+	}
+	return dst
 }
 
 // ZeroGrads clears every parameter gradient.

@@ -71,7 +71,7 @@ func assertGradsEqual(t *testing.T, tag string, a, b *PolicyValueNet) {
 	}
 }
 
-// The tentpole byte-identity gate, forward half: ForwardBatchTrain over B
+// The byte-identity gate, forward half: a training ForwardBatch over B
 // stacked states must reproduce B in-order Forward(·, true) calls
 // bit-for-bit — head outputs AND the BatchNorm running-statistics EMA
 // trajectory (per-sample statistics, ascending sample order).
@@ -90,7 +90,7 @@ func TestForwardBatchTrainMatchesForwardByteIdentical(t *testing.T) {
 					want[i] = copyOutput(seq.Forward(s, true))
 				}
 				outs := make([]Output, bs)
-				bat.ForwardBatchTrain(states, outs)
+				bat.ForwardBatch(states, outs, true)
 				for i := range outs {
 					assertOutputsEqual(t, "B="+strconv.Itoa(bs)+" sample "+strconv.Itoa(i),
 						&outs[i], want[i])
@@ -101,7 +101,7 @@ func TestForwardBatchTrainMatchesForwardByteIdentical(t *testing.T) {
 	}
 }
 
-// The tentpole byte-identity gate, backward half: one ForwardBatchTrain +
+// The byte-identity gate, backward half: one training ForwardBatch +
 // BackwardBatch must accumulate parameter gradients bit-identical to the
 // sequential per-step loop over the same samples in the same order —
 // including across repeated batches on live (non-zeroed) gradient buffers,
@@ -120,7 +120,7 @@ func TestBackwardBatchByteIdenticalGradients(t *testing.T) {
 					states := randStates(rng, n, bs)
 					flat, dDir, dVal := headGrads(seq, bs, 31+int64(round))
 					runSequentialSteps(seq, states, flat, dDir, dVal)
-					bat.ForwardBatchTrain(states, outs)
+					bat.ForwardBatch(states, outs, true)
 					bat.BackwardBatch(flat, dDir, dVal)
 					tag := "B=" + strconv.Itoa(bs) + " round " + strconv.Itoa(round)
 					assertGradsEqual(t, tag, bat, seq)
@@ -131,11 +131,9 @@ func TestBackwardBatchByteIdenticalGradients(t *testing.T) {
 	}
 }
 
-// The train path runs the fused padded-plane conv kernels and never lowers
-// a column matrix, so unlike the inference batch path there is no
-// batchColsBudget chunking to exercise; the kernel-level equivalence to the
-// lowered path is pinned by tensor's TestConvFusedMatchesLowered, and the
-// odd-size shapes here (B=5 on a 4×4 grid) cover the partial-group edges.
+// Odd batch shapes (B=5 on a 4×4 grid) cover the fused kernels' partial
+// groups across a whole net; the kernel-level equivalence to the lowered
+// path is pinned by tensor's TestConvFusedMatchesLowered.
 func TestTrainBatchFusedConvByteIdentical(t *testing.T) {
 	seq := NewPolicyValueNet(TestConfig(4), 5)
 	bat := NewPolicyValueNet(TestConfig(4), 5)
@@ -146,7 +144,7 @@ func TestTrainBatchFusedConvByteIdentical(t *testing.T) {
 	flat, dDir, dVal := headGrads(seq, len(states), 43)
 	want := runSequentialSteps(seq, states, flat, dDir, dVal)
 	outs := make([]Output, len(states))
-	bat.ForwardBatchTrain(states, outs)
+	bat.ForwardBatch(states, outs, true)
 	bat.BackwardBatch(flat, dDir, dVal)
 	for i := range outs {
 		assertOutputsEqual(t, "sample "+strconv.Itoa(i), &outs[i], want[i])
@@ -155,35 +153,47 @@ func TestTrainBatchFusedConvByteIdentical(t *testing.T) {
 	assertStatsEqual(t, "fused", bat, seq)
 }
 
-// Interleaving a batched inference ForwardBatch between ForwardBatchTrain
-// and BackwardBatch must not disturb the pending training caches: the
-// t-prefixed train scratch is disjoint from the inference-batch handles.
-func TestTrainBatchSurvivesInterleavedInference(t *testing.T) {
-	cfg := TestConfig(4)
-	ref := NewPolicyValueNet(cfg, 7)
-	mix := NewPolicyValueNet(cfg, 7)
-	perturbNet(ref, 47)
-	perturbNet(mix, 47)
+// The layers keep one set of scratch, so BackwardBatch is only valid right
+// after a training ForwardBatch of the same batch size: an evaluation
+// forward wedged in between, or a training forward of another size, must
+// panic instead of back-propagating through clobbered caches.
+func TestBackwardBatchRequiresMatchingTrainForward(t *testing.T) {
+	net := NewPolicyValueNet(TestConfig(4), 7)
 	rng := rand.New(rand.NewSource(53))
 	states := randStates(rng, 4, 4)
-	inferStates := randStates(rng, 4, 6)
-	flat, dDir, dVal := headGrads(ref, len(states), 59)
+	flat, dDir, dVal := headGrads(net, len(states), 59)
 	outs := make([]Output, len(states))
-	inferOuts := make([]Output, len(inferStates))
-	for step := 0; step < 3; step++ {
-		ref.ForwardBatchTrain(states, outs)
-		ref.BackwardBatch(flat, dDir, dVal)
-		mix.ForwardBatchTrain(states, outs)
-		mix.ForwardBatch(inferStates, inferOuts) // wedged mid-cycle
-		mix.BackwardBatch(flat, dDir, dVal)
-		assertGradsEqual(t, "step "+strconv.Itoa(step), mix, ref)
-		SGD{LR: 0.01}.Step(ref)
-		SGD{LR: 0.01}.Step(mix)
+	mustPanic := func(tag string) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: BackwardBatch did not panic", tag)
+			}
+		}()
+		net.BackwardBatch(flat, dDir, dVal)
 	}
+	mustPanic("fresh net")
+	net.ForwardBatch(states, outs, true)
+	net.ForwardBatch(states[:2], outs[:2], false)
+	mustPanic("eval forward in between")
+	net.ForwardBatch(states[:3], outs[:3], true)
+	mustPanic("train forward of another size")
+	var dl [4][]float64
+	net.Forward(states[0], false)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Backward after an eval Forward did not panic")
+			}
+		}()
+		net.Backward(dl, 0, 0)
+	}()
+	net.ForwardBatch(states, outs, true)
+	net.BackwardBatch(flat, dDir, dVal) // matching: must not panic
 }
 
 // The 0-alloc pin for the batched train step: once warmed, a full
-// ForwardBatchTrain + BackwardBatch cycle allocates nothing, including for
+// training ForwardBatch + BackwardBatch cycle allocates nothing, including for
 // smaller batches reusing the same scratch.
 func TestTrainBatchZeroAllocWarm(t *testing.T) {
 	net := NewPolicyValueNet(TestConfig(4), 9)
@@ -192,16 +202,16 @@ func TestTrainBatchZeroAllocWarm(t *testing.T) {
 	states := randStates(rng, 4, 8)
 	flat, dDir, dVal := headGrads(net, 8, 71)
 	outs := make([]Output, 8)
-	net.ForwardBatchTrain(states, outs) // warm
+	net.ForwardBatch(states, outs, true) // warm
 	net.BackwardBatch(flat, dDir, dVal)
 	if allocs := testing.AllocsPerRun(20, func() {
-		net.ForwardBatchTrain(states, outs)
+		net.ForwardBatch(states, outs, true)
 		net.BackwardBatch(flat, dDir, dVal)
 	}); allocs != 0 {
 		t.Fatalf("warmed batched train step allocates %.0f times, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		net.ForwardBatchTrain(states[:3], outs[:3])
+		net.ForwardBatch(states[:3], outs[:3], true)
 		net.BackwardBatch(flat[:3*4*net.Cfg.N], dDir[:3], dVal[:3])
 	}); allocs != 0 {
 		t.Fatalf("warmed batched train step (B=3) allocates %.0f times, want 0", allocs)

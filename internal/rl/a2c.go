@@ -37,7 +37,7 @@ type A2C struct {
 	ValueCoeff float64
 	// TrainBatch is the tile size for the batched trajectory update: steps
 	// are processed in t-ordered tiles of up to TrainBatch samples, each
-	// tile one ForwardBatchTrain + BackwardBatch pass. Values ≤ 1 select
+	// tile one training ForwardBatch + BackwardBatch pass. Values ≤ 1 select
 	// the per-step sequential path, which is the batched path's
 	// byte-identity oracle: both orders of evaluation produce bit-equal
 	// gradients, running statistics, and MSE.
@@ -130,8 +130,8 @@ func (a *A2C) accumulateSequential(net *nn.PolicyValueNet, traj Trajectory, retu
 }
 
 // accumulateBatched fuses the per-step update into tile-sized batched
-// passes: each tile of up to TrainBatch consecutive steps runs one
-// ForwardBatchTrain (per-layer activations cached for every sample) and one
+// passes: each tile of up to TrainBatch consecutive steps runs one training
+// ForwardBatch (per-layer activations cached for every sample) and one
 // BackwardBatch. Head gradients for the whole tile are computed in a single
 // vectorized sweep between the two network calls. Because the batched
 // network passes reduce in ascending sample (= trajectory) order with the
@@ -172,7 +172,7 @@ func (a *A2C) accumulateBatched(net *nn.PolicyValueNet, traj Trajectory, returns
 		for bi := 0; bi < nb; bi++ {
 			states[bi] = traj.Steps[t0+bi].State
 		}
-		net.ForwardBatchTrain(states, outs)
+		net.ForwardBatch(states, outs, true)
 
 		flat := a.flat[:nb*4*nc]
 		dDir := a.dDir[:nb]

@@ -23,7 +23,7 @@ type RingConfig struct {
 	// is walked every cycle, the pre-sparse behavior. Sparse stepping is
 	// byte-identical (a skipped step is provably a no-op), so this knob
 	// exists as the oracle for the dense-vs-sparse parity tests and for
-	// before/after benchmarking, mirroring bruteGreedySearch/NaiveForward.
+	// before/after benchmarking, mirroring bruteGreedySearch.
 	DenseStep bool
 }
 

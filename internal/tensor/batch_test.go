@@ -6,93 +6,6 @@ import (
 	"testing"
 )
 
-// Im2colBatch must reproduce, for every sample in the chunk, exactly the
-// column block Im2col produces for that sample alone — this is the
-// foundation of the batched forward's byte-identity guarantee.
-func TestIm2colBatchMatchesPerSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const (
-		inC, nb, h, w = 3, 5, 6, 7
-		k             = 3
-		pad           = (k - 1) / 2
-	)
-	hw := h * w
-	ickk := inC * k * k
-	// Channel-major batched input: sample bi of channel ic at (ic*nb+bi)*hw.
-	x := make([]float64, inC*nb*hw)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	single := make([]float64, inC*hw)
-	want := make([]float64, ickk*hw)
-	for s0 := 0; s0 < nb; s0++ {
-		for cb := 1; s0+cb <= nb; cb++ {
-			cols := make([]float64, ickk*cb*hw)
-			Im2colBatch(x, inC, nb, s0, cb, h, w, k, pad, cols)
-			for bi := 0; bi < cb; bi++ {
-				for ic := 0; ic < inC; ic++ {
-					copy(single[ic*hw:(ic+1)*hw], x[(ic*nb+s0+bi)*hw:(ic*nb+s0+bi+1)*hw])
-				}
-				Im2col(single, inC, h, w, k, pad, want)
-				for r := 0; r < ickk; r++ {
-					got := cols[r*cb*hw+bi*hw : r*cb*hw+(bi+1)*hw]
-					for j, v := range got {
-						if v != want[r*hw+j] {
-							t.Fatalf("s0=%d cb=%d sample %d row %d col %d: got %v want %v",
-								s0, cb, bi, r, j, v, want[r*hw+j])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// Col2imBatch must reproduce, for every sample in the chunk, exactly the
-// map Col2im produces from that sample's column block alone — the batched
-// conv backward's dX byte-identity rests on this.
-func TestCol2imBatchMatchesPerSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const (
-		inC, nb, h, w = 3, 5, 6, 7
-		k             = 3
-		pad           = (k - 1) / 2
-	)
-	hw := h * w
-	ickk := inC * k * k
-	x := make([]float64, inC*nb*hw)
-	single := make([]float64, ickk*hw)
-	want := make([]float64, inC*hw)
-	for s0 := 0; s0 < nb; s0++ {
-		for cb := 1; s0+cb <= nb; cb++ {
-			cols := make([]float64, ickk*cb*hw)
-			for i := range cols {
-				cols[i] = rng.NormFloat64()
-			}
-			// Poison x so the clear inside Col2imBatch is exercised.
-			for i := range x {
-				x[i] = 1e30
-			}
-			Col2imBatch(cols, inC, nb, s0, cb, h, w, k, pad, x)
-			for bi := 0; bi < cb; bi++ {
-				for r := 0; r < ickk; r++ {
-					copy(single[r*hw:(r+1)*hw], cols[r*cb*hw+bi*hw:r*cb*hw+(bi+1)*hw])
-				}
-				Col2im(single, inC, h, w, k, pad, want)
-				for ic := 0; ic < inC; ic++ {
-					got := x[(ic*nb+s0+bi)*hw : (ic*nb+s0+bi+1)*hw]
-					for j, v := range got {
-						if v != want[ic*hw+j] {
-							t.Fatalf("s0=%d cb=%d sample %d chan %d idx %d: got %v want %v",
-								s0, cb, bi, ic, j, v, want[ic*hw+j])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // GemmNTStrided with dense strides (lda = ldb = k) must be bit-identical to
 // GemmNT, and with batched strides it must reproduce per-sample GemmNT
 // calls exactly — the contract that keeps the batched conv dW accumulation
@@ -183,5 +96,34 @@ func TestMatVecBatchMatchesGemmNN(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// AddOuter and MatTVec must be bit-identical to the GEMM fast paths the
+// per-sample Dense backward used: GemmNT with k == 1 (the rank-1 weight
+// gradient) and GemmTN with n == 1 (the input gradient).
+func TestDenseKernelsMatchGemm(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, sz := range []struct{ m, n int }{{1, 1}, {7, 13}, {32, 50}, {4, 3}} {
+		a, b := randSlice(rng, sz.m), randSlice(rng, sz.n)
+		got := randSlice(rng, sz.m*sz.n) // accumulates
+		want := append([]float64(nil), got...)
+		AddOuter(sz.m, sz.n, a, b, got)
+		GemmNT(sz.m, sz.n, 1, a, b, want, true)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("AddOuter %dx%d elem %d: got %v want %v", sz.m, sz.n, i, got[i], want[i])
+			}
+		}
+		w, x := randSlice(rng, sz.n*sz.m), randSlice(rng, sz.n)
+		y := randSlice(rng, sz.m) // overwritten
+		wantY := make([]float64, sz.m)
+		MatTVec(sz.m, sz.n, w, x, y)
+		GemmTN(sz.m, 1, sz.n, w, x, wantY, false)
+		for i := range wantY {
+			if y[i] != wantY[i] {
+				t.Fatalf("MatTVec %dx%d elem %d: got %v want %v", sz.m, sz.n, i, y[i], wantY[i])
+			}
+		}
 	}
 }

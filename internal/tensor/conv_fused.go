@@ -2,9 +2,10 @@ package tensor
 
 import "fmt"
 
-// Fused (materialization-free) convolution kernels for the batched training
-// path. The im2col formulation moves K²× the input volume through cols/dcols
-// buffers that are megabytes per sample at paper scale; these kernels read a
+// Fused (materialization-free) convolution kernels: every convolution in
+// internal/nn runs on them. The im2col formulation moves K²× the input
+// volume through cols/dcols buffers that are megabytes per sample at paper
+// scale; these kernels read a
 // zero-padded copy of the input plane instead, so every value the GEMM would
 // have loaded from a cols row is loaded from the padded plane at a computed
 // offset — the same value, in the same place in the same per-element
@@ -15,8 +16,9 @@ import "fmt"
 //	ConvDWPad   ≡ GemmNT over cols     (conv weight gradient)
 //	ConvDXPad   ≡ GemmTN + Col2im      (conv input gradient)
 //
-// The equivalences are pinned by TestConvFusedMatchesLowered, which runs the
-// lowered kernels as oracles. Four structural facts carry the proofs:
+// The equivalences are pinned by TestConvFusedMatchesLowered and
+// FuzzConvFusedMatchesLowered, which run the lowered kernels (kept in
+// lowered_test.go) as oracles. Four structural facts carry the proofs:
 //
 //  1. Pad zeros participate. The padded plane holds explicit +0 entries
 //     where im2col writes zeros, so grouped expressions such as
@@ -296,5 +298,17 @@ func ConvDXPad(weights []float64, outC, inC int, gpad []float64, gpadStride int,
 		for y := 0; y < h; y++ {
 			copy(plane[y*w:(y+1)*w], pd[y*wp:y*wp+w])
 		}
+	}
+}
+
+// addSums adds the nr×4 block of dot4x4 sums into C, block row r starting
+// at c[r*ldc].
+func addSums(c []float64, ldc, nr int, s *[16]float64) {
+	for r := 0; r < nr; r++ {
+		crow := c[r*ldc:][:4]
+		crow[0] += s[4*r]
+		crow[1] += s[4*r+1]
+		crow[2] += s[4*r+2]
+		crow[3] += s[4*r+3]
 	}
 }

@@ -1,6 +1,6 @@
 package tensor
 
-// Vector primitives behind the f64 GEMM and fused-conv inner loops. On amd64
+// Vector primitives behind the fused-conv and Dense inner loops. On amd64
 // hosts with AVX2 the dispatchers in simd_amd64.go run the assembly twins in
 // simd_amd64.s; everywhere else they run the Go loops below, which are also
 // the oracle the assembly is tested against (TestSIMDMatchesGeneric).

@@ -29,32 +29,6 @@ func assertSameFloats(t *testing.T, tag string, got, want []float64) {
 	}
 }
 
-// edgeFloat draws from a mix that stresses IEEE corner cases: ordinary
-// normals, signed zeros, subnormals, tiny normals whose products underflow,
-// and huge magnitudes whose products and sums overflow to ±Inf (and then
-// NaN from Inf-Inf). NaN operands appear only when withNaN is set.
-func edgeFloat(rng *rand.Rand, withNaN bool) float64 {
-	sign := 1.0
-	if rng.Intn(2) == 0 {
-		sign = -1
-	}
-	switch rng.Intn(10) {
-	case 0:
-		return math.Copysign(0, sign)
-	case 1:
-		return sign * math.Float64frombits(1+rng.Uint64()&(1<<52-2)) // subnormal
-	case 2:
-		return sign * math.Ldexp(1+rng.Float64(), -1000-rng.Intn(20))
-	case 3:
-		return sign * math.Ldexp(1+rng.Float64(), 500+rng.Intn(523))
-	case 4:
-		if withNaN {
-			return math.NaN()
-		}
-	}
-	return rng.NormFloat64()
-}
-
 // operand returns an n-element view at offset off into a fresh buffer, so
 // the kernels see every alignment of the 32-byte vector loads.
 func operand(rng *rand.Rand, n, off int, withNaN bool) []float64 {
