@@ -1,14 +1,18 @@
 # Tier-1 verification gate (see ROADMAP.md): every PR must leave `make ci`
-# green. `make race` additionally race-tests the concurrent packages and
-# `make cross` vets and builds for arm64, where internal/tensor has no
-# assembly and runs its pure-Go kernels; `make bench` is the quick
-# no-regression smoke for the sim hot path.
+# green. `make fmt` fails when any Go file is not gofmt-formatted; `make
+# race` additionally race-tests the concurrent packages and `make cross`
+# vets and builds for arm64, where internal/tensor has no assembly and runs
+# its pure-Go kernels; `make bench` is the quick no-regression smoke for
+# the sim hot path.
 
 GO ?= go
 
-.PHONY: ci vet build test race cross fuzz-smoke loc bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search trace-smoke profile-smoke
+.PHONY: ci fmt vet build test race cross fuzz-smoke loc bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search trace-smoke profile-smoke
 
-ci: vet build test race cross
+ci: fmt vet build test race cross
+
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -26,11 +30,14 @@ cross:
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 # Short fuzzes, bit-for-bit: the AVX2 primitives against their Go twins,
-# and the fused conv kernels against the lowered im2col/GEMM oracle. The
-# committed seed corpora live in internal/tensor/testdata/fuzz.
+# the fused conv kernels against the lowered im2col/GEMM oracle, and the
+# greedy score table against the brute Algorithm 1 rescan. The committed
+# seed corpora live in internal/tensor/testdata/fuzz and
+# internal/rl/testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSIMDMatchesGeneric -fuzztime 5s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzConvFusedMatchesLowered -fuzztime 5s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzScoreTableMatchesBrute -fuzztime 5s ./internal/rl/
 
 # Non-test Go line count outside perfbench/, the size ROADMAP tracks.
 loc:
@@ -65,8 +72,10 @@ bench-sim:
 # the regression signal — internal/rl's and internal/drl's AllocsPerRun
 # tests pin the greedy step, state encoding, and fingerprint at zero.
 # Before/after numbers for PR 4 live in BENCH_PR4.json.
+# BenchmarkGreedyImprove times the search's completion phase on a recycled
+# environment.
 bench-drl:
-	$(GO) test -bench 'BenchmarkGreedyComplete|BenchmarkFingerprint' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkGreedyComplete|BenchmarkGreedyImprove|BenchmarkFingerprint' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkDRLEpisode' -benchmem -run '^$$' ./internal/drl/
 
 # Quick iteration loop for the batched-inference service (internal/infer

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"routerless/internal/chiplet"
+	"routerless/internal/drl"
 	"routerless/internal/exp"
 	"routerless/internal/nn"
 	"routerless/internal/noc3d"
@@ -391,6 +392,29 @@ func BenchmarkGreedyComplete(b *testing.B) {
 				rl.GreedyComplete(env)
 				if !env.FullyConnected() {
 					b.Fatal("greedy failed to connect the design")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGreedyImprove measures the episode completion phase as the
+// search runs it: a recycled environment is Reset, then GreedyImprove adds
+// loops under drl.DefaultConfig's early stop (MinGain/NoGainStreak) until
+// the design stops improving. Steady state must stay allocation-free.
+func BenchmarkGreedyImprove(b *testing.B) {
+	for _, g := range []struct{ n, cap int }{{8, 14}, {10, 18}} {
+		n, cap := g.n, g.cap
+		b.Run(strconv.Itoa(n)+"x"+strconv.Itoa(n), func(b *testing.B) {
+			cfg := drl.DefaultConfig(n, cap)
+			env := rl.NewEnv(n, cap)
+			rl.GreedyImprove(env, cfg.MinGain, cfg.NoGainStreak) // warm buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				env.Reset()
+				if rl.GreedyImprove(env, cfg.MinGain, cfg.NoGainStreak) == 0 {
+					b.Fatal("greedy added no loops")
 				}
 			}
 		})

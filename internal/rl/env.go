@@ -98,8 +98,8 @@ type Env struct {
 
 	topo     *topo.Topology
 	meshHops float64
-	// scores is the lazily built per-rectangle greedy score cache (see
-	// scores.go); Step keeps it consistent through the dirty set.
+	// scores is the lazily built per-rectangle greedy score table (see
+	// scores.go); Step keeps it exact after every added loop.
 	scores *scoreTable
 	// legalBuf backs LegalActions so steady-state enumeration is
 	// allocation-free.
@@ -143,7 +143,7 @@ func (e *Env) Reset() {
 		e.topo.SetOverlapCap(e.OverlapCap)
 	}
 	if e.scores != nil {
-		e.scores.markAllDirty()
+		e.scores.reset()
 	}
 }
 

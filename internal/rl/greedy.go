@@ -29,150 +29,39 @@ func Greedy(e *Env) (Action, bool) {
 // callers trim exploration branches whose best remaining addition is
 // useless (§3.2, "Guided Design Space Search").
 //
-// It runs over the environment's cached per-rectangle score table: a step
-// perturbs only the rectangles whose legality, pair count, or memoized
-// hop-improvement actually depend on what changed (see scoreTable), and
-// the argmax walks the cached rows in brute-force enumeration order,
-// filling in missing improvement values only for rectangles whose count
-// ties or beats the running best — the same rectangles whose Imprv the
-// brute scan evaluates. The selection is byte-identical to
-// bruteGreedySearch, which the property tests enforce.
+// It is an argmax over the environment's score table, which keeps every
+// rectangle's legality, CheckCount and per-direction Imprv sums exact as
+// loops are added (see scoreTable). The rows are walked in brute-force
+// enumeration order with the brute scan's tie-breaks, so the result is
+// byte-identical to a full rescan, which the parity tests enforce.
 func GreedySearch(e *Env) GreedyResult {
 	s := e.scoresSynced()
-	rects := s.tab.Rects()
 	bestRect := -1
-	bestCount := -1
-	bestImprv := 0.0
+	bestCount := int32(-1)
+	bestImprv := int32(0)
+	bestDir := topo.Clockwise
 	for ri := range s.sc {
 		sc := &s.sc[ri]
-		if !sc.cwOK && !sc.ccwOK {
+		if !sc.cwOK && !sc.ccwOK || sc.count < bestCount {
 			continue
 		}
-		count := int(sc.count)
-		if count < bestCount {
-			continue
+		imprv, dir := sc.icw, topo.Clockwise
+		if !sc.cwOK || sc.ccwOK && sc.iccw > sc.icw {
+			imprv, dir = sc.iccw, topo.Counterclockwise
 		}
-		if !sc.impOK {
-			s.ensureImprv(e, int32(ri))
-		}
-		if count > bestCount || sc.imprv > bestImprv {
-			bestCount = count
-			bestImprv = sc.imprv
-			bestRect = ri
+		if sc.count > bestCount || imprv > bestImprv {
+			bestCount, bestImprv, bestRect, bestDir = sc.count, imprv, ri, dir
 		}
 	}
 	if bestRect < 0 {
 		return GreedyResult{NewPairs: -1}
 	}
-	r := &rects[bestRect]
+	r := &s.tab.Rects()[bestRect]
 	return GreedyResult{
-		Action:   Action{r.R1, r.C1, r.R2, r.C2, s.sc[bestRect].dir},
-		NewPairs: bestCount,
-		Gain:     bestImprv,
+		Action:   Action{r.R1, r.C1, r.R2, r.C2, bestDir},
+		NewPairs: int(bestCount),
+		Gain:     float64(bestImprv),
 		OK:       true,
-	}
-}
-
-// bruteGreedySearch is the original full O(N⁴) rescan, kept as the parity
-// oracle for the incremental GreedySearch: the property tests assert both
-// return identical results on arbitrary partial designs.
-func bruteGreedySearch(e *Env) GreedyResult {
-	bestLoop := Action{}
-	bestCount := -1
-	bestImprv := 0.0
-	found := false
-	for x1 := 0; x1 < e.N-1; x1++ {
-		for y1 := 0; y1 < e.N-1; y1++ {
-			for x2 := x1 + 1; x2 < e.N; x2++ {
-				for y2 := y1 + 1; y2 < e.N; y2++ {
-					cw := topo.MustLoop(x1, y1, x2, y2, topo.Clockwise)
-					ccw := topo.MustLoop(x1, y1, x2, y2, topo.Counterclockwise)
-					if !e.allowed(cw) {
-						continue
-					}
-					cwOK := e.topo.CheckAdd(cw) == nil
-					ccwOK := e.topo.CheckAdd(ccw) == nil
-					if !cwOK && !ccwOK {
-						continue
-					}
-					count := CheckCount(e.topo, cw)
-					if count < bestCount {
-						continue
-					}
-					imprv, dir := Imprv(e.topo, cw, cwOK, ccwOK)
-					if count > bestCount || imprv > bestImprv {
-						bestCount = count
-						bestImprv = imprv
-						bestLoop = Action{x1, y1, x2, y2, dir}
-						found = true
-					}
-				}
-			}
-		}
-	}
-	return GreedyResult{Action: bestLoop, NewPairs: bestCount, Gain: bestImprv, OK: found}
-}
-
-// CheckCount returns the number of ordered node pairs newly connected by
-// adding the rectangle of loop l (direction-independent: a loop connects
-// the same pairs either way).
-func CheckCount(t *topo.Topology, l topo.Loop) int {
-	nodes := l.Nodes()
-	count := 0
-	for _, u := range nodes {
-		for _, v := range nodes {
-			if u == v {
-				continue
-			}
-			if t.Dist(u, v) < 0 {
-				count++
-			}
-		}
-	}
-	return count
-}
-
-// Imprv evaluates the average-hop-count benefit of adding loop l in each
-// permitted direction and returns the larger improvement with its
-// direction. Improvement sums, over the loop's perimeter pairs, the
-// distance reduction relative to the current design (unconnected pairs
-// count as the 5N sentinel).
-func Imprv(t *topo.Topology, l topo.Loop, cwOK, ccwOK bool) (float64, topo.Direction) {
-	nodes := l.Nodes()
-	sentinel := topo.UnconnectedHops(t.Rows(), t.Cols())
-	evaluate := func(dir topo.Direction) float64 {
-		ld := l
-		ld.Dir = dir
-		sum := 0.0
-		for _, u := range nodes {
-			for _, v := range nodes {
-				if u == v {
-					continue
-				}
-				cur := float64(t.Dist(u, v))
-				if cur < 0 {
-					cur = sentinel
-				}
-				nd := float64(ld.Dist(u, v))
-				if nd < cur {
-					sum += cur - nd
-				}
-			}
-		}
-		return sum
-	}
-	switch {
-	case cwOK && ccwOK:
-		icw := evaluate(topo.Clockwise)
-		iccw := evaluate(topo.Counterclockwise)
-		if iccw > icw {
-			return iccw, topo.Counterclockwise
-		}
-		return icw, topo.Clockwise
-	case cwOK:
-		return evaluate(topo.Clockwise), topo.Clockwise
-	default:
-		return evaluate(topo.Counterclockwise), topo.Counterclockwise
 	}
 }
 

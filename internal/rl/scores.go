@@ -4,66 +4,66 @@ import (
 	"routerless/internal/topo"
 )
 
-// scoreTable caches one Algorithm 1 evaluation per grid rectangle: the
-// legality of each direction, CheckCount, and the best Imprv with its
-// direction. A full greedy scan then reduces to an argmax over the cached
-// rows.
+// scoreTable holds one Algorithm 1 evaluation per grid rectangle: the
+// legality of each direction, CheckCount, and both directions' Imprv sums.
+// A greedy scan is then an argmax over the rows.
 //
-// The cache stays valid through the add's exact perturbation: a
+// Every row is exact after each AddLoop without rescanning a perimeter. A
 // rectangle's score reads only the dist entries between its own perimeter
-// nodes, its nodes' overlap counts relative to the cap, and its own
-// membership in the loop set. After AddLoop, therefore:
+// nodes, its nodes' overlap relative to the cap, and its own membership in
+// the loop set. So, on grids with the pair index:
 //
-//   - count is adjusted in place: a dist entry going from unconnected to
-//     connected decrements CheckCount of exactly the rectangles containing
-//     both endpoints (found through the precomputed pair→rectangles
-//     index). Integer and order-independent, so the maintained value is
-//     exactly what a recount would produce.
-//   - imprv is invalidated (impOK cleared) for rectangles containing both
-//     endpoints of any improved dist entry, and recomputed lazily — only
-//     when the argmax reaches a rectangle whose count ties or beats the
-//     running best, mirroring the brute scan's own skip of Imprv for
-//     uncompetitive rectangles.
-//   - legality is re-checked only for rectangles through a node whose
-//     overlap just reached the cap (overlap only grows, so legality flips
-//     nowhere else) and for the added rectangle itself, whose duplicate
-//     status flipped.
+//   - count and icw/iccw change only in the rectangles containing both
+//     endpoints of an improved dist entry, which the pair→rectangles index
+//     lists together with the pair's perimeter gap. Every Imprv term is
+//     max(0, cur − gap), where cur is a hop count or the integer 5N
+//     sentinel, so each direction's sum is an integer: the walk adds each
+//     term's new − old delta and decrements count for a pair that was
+//     unconnected. Integer sums are exact in any order, so the converted
+//     Gain equals the brute scan's float64 sum bit for bit.
+//   - legality only ever turns off, because overlap and the loop set only
+//     grow: every rectangle through a node that just reached the cap loses
+//     both directions, and the added rectangle loses the direction just
+//     added.
 //
-// This makes the per-step cost proportional to the perturbed region
-// instead of the whole O(N⁴) design space. On grids too large for the
-// pair index the marking falls back to fully re-scoring every rectangle
-// sharing a node with the added loop — a strict superset, still sound.
+// Grids too large for the pair index mark every rectangle sharing a node
+// with the added loop (a strict superset) and re-score those in sync.
 //
-// Re-scoring runs the same arithmetic in the same order as the brute-force
-// scan, so cached results are bit-identical to bruteGreedySearch — the
-// parity the property tests pin.
+// Rows are kept for illegal rectangles too, so the whole table always
+// equals a fresh rescore; Reset restores the empty-design table from a
+// copy taken the first time an empty design is scored under the current
+// MaxLoopLen and cap.
 type scoreTable struct {
 	tab      *topo.GridTables
 	sc       []rectScore
 	dirty    []int32
 	inDirty  []bool
 	allDirty bool
-	// Constraint snapshot the scores were computed under; sync invalidates
+	// empty is sc for the empty design, valid while emptyOK.
+	empty   []rectScore
+	emptyOK bool
+	// sentinel is the integer 5N charged to unconnected pairs.
+	sentinel int32
+	// Constraint snapshot the scores were computed under; sync re-scores
 	// everything when a caller moves either knob between scans.
 	maxLoopLen int
 	overlapCap int
 }
 
-// rectScore is one cached evaluation. cwOK/ccwOK record per-direction
+// rectScore is one rectangle's evaluation. cwOK/ccwOK record per-direction
 // legality (length constraint, duplication, overlap cap); count is
-// CheckCount, maintained incrementally; imprv/dir memoize the winning
-// Imprv, valid only while impOK is set.
+// CheckCount; icw/iccw are Imprv's clockwise and counterclockwise sums;
+// ll is the perimeter length.
 type rectScore struct {
-	imprv float64
-	count int32
-	dir   topo.Direction
-	cwOK  bool
-	ccwOK bool
-	impOK bool
+	count     int32
+	icw, iccw int32
+	ll        uint16
+	cwOK      bool
+	ccwOK     bool
 }
 
-// scores returns the environment's score table, fully synchronized with
-// the current topology; it is built (all-dirty) on first use.
+// scoresSynced returns the environment's score table, fully synchronized
+// with the current topology; it is built (all-dirty) on first use.
 func (e *Env) scoresSynced() *scoreTable {
 	s := e.scores
 	if s == nil {
@@ -73,6 +73,7 @@ func (e *Env) scoresSynced() *scoreTable {
 			sc:         make([]rectScore, tab.NumRects()),
 			inDirty:    make([]bool, tab.NumRects()),
 			allDirty:   true,
+			sentinel:   int32(topo.UnconnectedHops(e.topo.Rows(), e.topo.Cols())),
 			maxLoopLen: e.MaxLoopLen,
 			overlapCap: e.topo.OverlapCap(),
 		}
@@ -82,38 +83,33 @@ func (e *Env) scoresSynced() *scoreTable {
 		s.maxLoopLen = e.MaxLoopLen
 		s.overlapCap = e.topo.OverlapCap()
 		s.allDirty = true
+		s.emptyOK = false
 	}
 	s.sync(e)
 	return s
 }
 
-// sync re-establishes every eager invariant (legality and count); imprv
-// stays lazy behind impOK.
+// sync re-scores whatever is marked: every row when allDirty (first use, a
+// constraint change, or a reset without a template), else the fallback
+// path's dirty rectangles.
 func (s *scoreTable) sync(e *Env) {
 	if s.allDirty {
 		for ri := range s.sc {
 			s.rescore(e, int32(ri))
 		}
-		for i := range s.inDirty {
-			s.inDirty[i] = false
+		if e.topo.NumLoops() == 0 {
+			s.empty = append(s.empty[:0], s.sc...)
+			s.emptyOK = true
 		}
-		s.dirty = s.dirty[:0]
-		s.allDirty = false
-		return
-	}
-	legalityOnly := s.tab.HasPairIndex()
-	for _, ri := range s.dirty {
-		if legalityOnly {
-			s.rescoreLegality(e, ri)
-		} else {
+	} else {
+		for _, ri := range s.dirty {
 			s.rescore(e, ri)
 		}
-		s.inDirty[ri] = false
 	}
-	s.dirty = s.dirty[:0]
+	s.clearDirty()
 }
 
-// noteAdded applies the new loop's exact perturbation to the cache,
+// noteAdded applies the new loop's exact perturbation to the table,
 // reading the changed dist entries and saturated nodes off the topology
 // (see the type comment for why this set is complete).
 func (s *scoreTable) noteAdded(t *topo.Topology, l topo.Loop) {
@@ -121,8 +117,6 @@ func (s *scoreTable) noteAdded(t *topo.Topology, l topo.Loop) {
 		return
 	}
 	if !s.tab.HasPairIndex() {
-		// Coarse superset fallback for grids without the pair index:
-		// fully re-score everything sharing a node with the loop.
 		for _, id := range s.tab.NodesOf(l) {
 			for _, ri := range s.tab.RectsAt(int(id)) {
 				s.mark(ri)
@@ -130,23 +124,35 @@ func (s *scoreTable) noteAdded(t *topo.Topology, l topo.Loop) {
 		}
 		return
 	}
-	for _, pk := range t.LastAddChangedPairs() {
-		for _, ri := range s.tab.RectsAtPair(pk) {
-			s.sc[ri].impOK = false
+	dist := t.DistData()
+	pairs, old := t.LastAddChangedPairs()
+	for k, pk := range pairs {
+		// For nd < od, max(0, nd−g) − max(0, od−g) = min(max(g, nd) − od, 0).
+		nd := int32(dist[pk])
+		od := int32(old[k])
+		var newPair int32
+		if od < 0 {
+			od, newPair = s.sentinel, 1
 		}
-	}
-	for _, pk := range t.LastAddNewPairs() {
-		for _, ri := range s.tab.RectsAtPair(pk) {
-			s.sc[ri].count--
+		for _, ent := range s.tab.RectsAtPair(pk) {
+			sc := &s.sc[ent>>topo.PairGapBits]
+			g := int32(ent & (1<<topo.PairGapBits - 1))
+			sc.icw += min(max(g, nd)-od, 0)
+			sc.iccw += min(max(int32(sc.ll)-g, nd)-od, 0)
+			sc.count -= newPair
 		}
 	}
 	for _, id := range t.LastAddSaturatedNodes() {
 		for _, ri := range s.tab.RectsAt(int(id)) {
-			s.mark(ri)
+			s.sc[ri].cwOK, s.sc[ri].ccwOK = false, false
 		}
 	}
 	if ri := s.tab.RectIndex(l); ri >= 0 {
-		s.mark(int32(ri))
+		if l.Dir == topo.Clockwise {
+			s.sc[ri].cwOK = false
+		} else {
+			s.sc[ri].ccwOK = false
+		}
 	}
 }
 
@@ -157,124 +163,65 @@ func (s *scoreTable) mark(ri int32) {
 	}
 }
 
-// markAllDirty invalidates the whole table (topology reset or replaced).
-func (s *scoreTable) markAllDirty() {
-	s.allDirty = true
-	for i := range s.inDirty {
-		s.inDirty[i] = false
+func (s *scoreTable) clearDirty() {
+	s.allDirty = false
+	for _, ri := range s.dirty {
+		s.inDirty[ri] = false
 	}
 	s.dirty = s.dirty[:0]
 }
 
-// rescore recomputes one rectangle's legality and count from scratch and
-// invalidates its memoized imprv. Together with ensureImprv this mirrors
-// the brute-force scan's per-rectangle logic (and arithmetic order)
-// exactly.
+// reset serves an emptied topology by restoring the empty-design table.
+// A table taken under other constraints is harmless: scoresSynced's
+// snapshot check re-scores everything before the next read.
+func (s *scoreTable) reset() {
+	s.clearDirty()
+	if s.emptyOK {
+		copy(s.sc, s.empty)
+	} else {
+		s.allDirty = true
+	}
+}
+
+// rescore recomputes one rectangle's row from scratch: legality by
+// CheckAdd, and count with both Imprv sums in one pass over the perimeter
+// pairs. Loop distances are index gaps in the clockwise ID list (the
+// counterclockwise distance is the complement); current distances come
+// from the topology's dist cache.
 func (s *scoreTable) rescore(e *Env, ri int32) {
 	r := &s.tab.Rects()[ri]
-	sc := &s.sc[ri]
-	*sc = rectScore{}
 	cw := r.Loop(topo.Clockwise)
-	if !e.allowed(cw) {
-		return
-	}
-	cwOK := e.topo.CheckAdd(cw) == nil
-	ccwOK := e.topo.CheckAdd(r.Loop(topo.Counterclockwise)) == nil
-	if !cwOK && !ccwOK {
-		return
-	}
-	sc.cwOK, sc.ccwOK = cwOK, ccwOK
+	allowed := e.allowed(cw)
 	ids := r.Nodes
+	ll := int32(len(ids))
 	n := e.topo.N()
 	dist := e.topo.DistData()
-	count := 0
+	var count, icw, iccw int32
 	for i, u := range ids {
 		row := int(u) * n
 		for j, v := range ids {
 			if i == j {
 				continue
 			}
-			if dist[row+int(v)] < 0 {
+			cur := int32(dist[row+int(v)])
+			if cur < 0 {
 				count++
+				cur = s.sentinel
 			}
+			g := int32(j - i)
+			if g < 0 {
+				g += ll
+			}
+			icw += max(cur-g, 0)
+			iccw += max(cur-(ll-g), 0)
 		}
 	}
-	sc.count = int32(count)
-}
-
-// rescoreLegality refreshes only the legality flags; the maintained count
-// stays valid, and the memoized imprv survives unless a flag flipped —
-// imprv's stored value depends on which directions were evaluated, so a
-// flip forces a lazy recompute. Used on the precise-dirty path, where a
-// rectangle lands in the dirty set only because a node saturated or its
-// duplicate status flipped.
-func (s *scoreTable) rescoreLegality(e *Env, ri int32) {
-	r := &s.tab.Rects()[ri]
-	sc := &s.sc[ri]
-	cw := r.Loop(topo.Clockwise)
-	cwOK, ccwOK := false, false
-	if e.allowed(cw) {
-		cwOK = e.topo.CheckAdd(cw) == nil
-		ccwOK = e.topo.CheckAdd(r.Loop(topo.Counterclockwise)) == nil
+	s.sc[ri] = rectScore{
+		count: count,
+		icw:   icw,
+		iccw:  iccw,
+		ll:    uint16(ll),
+		cwOK:  allowed && e.topo.CheckAdd(cw) == nil,
+		ccwOK: allowed && e.topo.CheckAdd(r.Loop(topo.Counterclockwise)) == nil,
 	}
-	if cwOK != sc.cwOK || ccwOK != sc.ccwOK {
-		sc.impOK = false
-	}
-	sc.cwOK, sc.ccwOK = cwOK, ccwOK
-}
-
-// ensureImprv fills in the rectangle's memoized Imprv on demand. One fused
-// pass over the perimeter pairs computes both directions' sums: hop
-// distances along the candidate loop come from index gaps in the
-// precomputed clockwise ID list (the counterclockwise gap is the
-// complement); current distances come from the raw incremental cache. Each
-// accumulator sees the same pair order and summation order as the
-// brute-force scan, keeping results bit-identical.
-func (s *scoreTable) ensureImprv(e *Env, ri int32) {
-	sc := &s.sc[ri]
-	if sc.impOK {
-		return
-	}
-	ids := s.tab.Rects()[ri].Nodes
-	ll := len(ids)
-	n := e.topo.N()
-	dist := e.topo.DistData()
-	sentinel := topo.UnconnectedHops(e.topo.Rows(), e.topo.Cols())
-	icw, iccw := 0.0, 0.0
-	for i, u := range ids {
-		row := int(u) * n
-		for j, v := range ids {
-			if i == j {
-				continue
-			}
-			cd := int(dist[row+int(v)])
-			cur := float64(cd)
-			if cd < 0 {
-				cur = sentinel
-			}
-			d := j - i
-			if d < 0 {
-				d += ll
-			}
-			if nd := float64(d); nd < cur {
-				icw += cur - nd
-			}
-			if nd := float64(ll - d); nd < cur {
-				iccw += cur - nd
-			}
-		}
-	}
-	switch {
-	case sc.cwOK && sc.ccwOK:
-		if iccw > icw {
-			sc.imprv, sc.dir = iccw, topo.Counterclockwise
-		} else {
-			sc.imprv, sc.dir = icw, topo.Clockwise
-		}
-	case sc.cwOK:
-		sc.imprv, sc.dir = icw, topo.Clockwise
-	default:
-		sc.imprv, sc.dir = iccw, topo.Counterclockwise
-	}
-	sc.impOK = true
 }

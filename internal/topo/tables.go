@@ -26,16 +26,22 @@ type GridTables struct {
 	// the node.
 	at [][]int32
 	// pairRects[u*n+v] lists the rectangles whose perimeter includes both
-	// u and v — the rectangles whose greedy score depends on dist(u,v).
-	// It is the inverted index driving precise dirty-set maintenance; nil
-	// on grids above pairIndexMaxNodes, where callers fall back to the
-	// coarser (but still correct) per-node lists.
-	pairRects [][]int32
+	// u and v — the rectangles whose greedy score depends on dist(u,v) —
+	// each packed with v's clockwise index gap from u on that perimeter
+	// (see RectsAtPair). It is the inverted index that keeps the greedy
+	// score table exact per add; nil on grids above pairIndexMaxNodes,
+	// where callers fall back to the coarser per-node lists.
+	pairRects [][]uint32
 }
 
 // pairIndexMaxNodes bounds the pair→rectangles index to grids where its
-// O(Σ perimeter²) footprint stays in the low megabytes (14×14 ≈ 7 MB).
+// Σ L(L−1) entries stay affordable: 3.8 M uint32 entries, ≈14.5 MB, at
+// 14×14. It also keeps every perimeter, and so every gap, below 256, the
+// width PairGapBits packs.
 const pairIndexMaxNodes = 196
+
+// PairGapBits is the width of the gap field in a RectsAtPair entry.
+const PairGapBits = 8
 
 // Rect is one precomputed rectangle.
 type Rect struct {
@@ -106,16 +112,18 @@ func buildTables(rows, cols int) *GridTables {
 		}
 	}
 	if n <= pairIndexMaxNodes {
-		g.pairRects = make([][]int32, n*n)
+		g.pairRects = make([][]uint32, n*n)
 		for idx := range g.rects {
 			ids := g.rects[idx].Nodes
-			for _, u := range ids {
+			ll := len(ids)
+			for i, u := range ids {
 				row := int(u) * n
-				for _, v := range ids {
-					if u == v {
+				for j, v := range ids {
+					if i == j {
 						continue
 					}
-					g.pairRects[row+int(v)] = append(g.pairRects[row+int(v)], int32(idx))
+					gap := (j - i + ll) % ll
+					g.pairRects[row+int(v)] = append(g.pairRects[row+int(v)], uint32(idx)<<PairGapBits|uint32(gap))
 				}
 			}
 		}
@@ -168,10 +176,11 @@ func (g *GridTables) RectsAt(nodeID int) []int32 { return g.at[nodeID] }
 
 // RectsAtPair lists the rectangles whose perimeter contains both nodes of
 // the packed pair key u*N+v — exactly the rectangles whose greedy score
-// reads dist(u,v). Returns nil slices per pair when the pair index is
-// disabled for this grid size (check HasPairIndex first). The returned
-// slice must not be mutated.
-func (g *GridTables) RectsAtPair(packed int32) []int32 { return g.pairRects[packed] }
+// reads dist(u,v). Each entry is rect<<PairGapBits | gap, where rect is
+// the rectangle index and gap the clockwise distance from u to v along its
+// perimeter (the counterclockwise distance is Len − gap). Only valid when
+// HasPairIndex; the returned slice must not be mutated.
+func (g *GridTables) RectsAtPair(packed int32) []uint32 { return g.pairRects[packed] }
 
 // HasPairIndex reports whether the pair→rectangles index was built for
 // this grid (it is skipped on very large grids to bound memory).

@@ -55,14 +55,14 @@ type Topology struct {
 	fpBuf   []byte
 	fpStr   string
 	fpDirty bool
-	// changedPairs, newPairs and satNodes record the most recent AddLoop's
-	// exact perturbation: packed src*N+dst keys of dist entries that
-	// improved, the subset of those that went from unconnected to
-	// connected, and nodes whose overlap reached the cap during that add.
-	// Incremental consumers (the greedy score cache) invalidate only what
+	// changedPairs, changedOld and satNodes record the most recent
+	// AddLoop's exact perturbation: packed src*N+dst keys of dist entries
+	// that improved, each entry's dist before the add (-1 when it was
+	// unconnected), and nodes whose overlap reached the cap during that
+	// add. Incremental consumers (the greedy score table) update only what
 	// these name. All are reused buffers, valid until the next mutation.
 	changedPairs []int32
-	newPairs     []int32
+	changedOld   []int16
 	satNodes     []int32
 }
 
@@ -191,7 +191,7 @@ func (t *Topology) addUnchecked(l Loop) {
 	t.loops = append(t.loops, l)
 	t.loopSet[l] = struct{}{}
 	t.changedPairs = t.changedPairs[:0]
-	t.newPairs = t.newPairs[:0]
+	t.changedOld = t.changedOld[:0]
 	t.satNodes = t.satNodes[:0]
 	ids := t.tab.NodesOf(l)
 	for _, id := range ids {
@@ -226,12 +226,12 @@ func (t *Topology) addUnchecked(l Loop) {
 			if cur < 0 {
 				t.connPairs++
 				t.hopTotal += d
-				t.newPairs = append(t.newPairs, int32(row)+v)
 			} else {
 				t.hopTotal += d - int(cur)
 			}
 			t.dist[row+int(v)] = int16(d)
 			t.changedPairs = append(t.changedPairs, int32(row)+v)
+			t.changedOld = append(t.changedOld, cur)
 			if t.hopM != nil {
 				t.setHopM(int(u), int(v), float64(d))
 			}
@@ -266,7 +266,7 @@ func (t *Topology) Reset() {
 	t.fpStr = ""
 	t.fpDirty = false
 	t.changedPairs = t.changedPairs[:0]
-	t.newPairs = t.newPairs[:0]
+	t.changedOld = t.changedOld[:0]
 	t.satNodes = t.satNodes[:0]
 }
 
@@ -327,15 +327,13 @@ func (t *Topology) DistID(src, dst int) int {
 func (t *Topology) DistData() []int16 { return t.dist }
 
 // LastAddChangedPairs returns the packed src*N+dst keys of the dist
-// entries improved by the most recent AddLoop. The slice is a reused
-// buffer, valid only until the next mutation, and must not be mutated.
-func (t *Topology) LastAddChangedPairs() []int32 { return t.changedPairs }
-
-// LastAddNewPairs returns the subset of LastAddChangedPairs whose dist
-// entry went from unconnected (-1) to connected — the pairs that lower
-// CheckCount for every rectangle containing both endpoints. Same reuse
-// caveats as LastAddChangedPairs.
-func (t *Topology) LastAddNewPairs() []int32 { return t.newPairs }
+// entries improved by the most recent AddLoop, and in the parallel slice
+// old each entry's dist before that add (-1 when it was unconnected); the
+// new value is in DistData. The slices are reused buffers, valid only
+// until the next mutation, and must not be mutated.
+func (t *Topology) LastAddChangedPairs() (pairs []int32, old []int16) {
+	return t.changedPairs, t.changedOld
+}
 
 // LastAddSaturatedNodes returns the nodes whose overlap count reached the
 // cap during the most recent AddLoop — the only nodes through which
