@@ -30,14 +30,18 @@ cross:
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 # Short fuzzes, bit-for-bit: the AVX2 primitives against their Go twins,
-# the fused conv kernels against the lowered im2col/GEMM oracle, and the
-# greedy score table against the brute Algorithm 1 rescan. The committed
-# seed corpora live in internal/tensor/testdata/fuzz and
-# internal/rl/testdata/fuzz.
+# the fused conv kernels against the lowered im2col/GEMM oracle, the
+# greedy score table against the brute Algorithm 1 rescan, and the ring
+# and mesh simulators (random designs, configs, traffic and FailLoop
+# schedules) against the dense reference walks. The committed seed corpora
+# live in internal/tensor/testdata/fuzz, internal/rl/testdata/fuzz and
+# internal/sim/testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSIMDMatchesGeneric -fuzztime 5s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzConvFusedMatchesLowered -fuzztime 5s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzScoreTableMatchesBrute -fuzztime 5s ./internal/rl/
+	$(GO) test -run '^$$' -fuzz FuzzRingMatchesReference -fuzztime 5s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzMeshMatchesReference -fuzztime 5s ./internal/sim/
 
 # Non-test Go line count outside perfbench/, the size ROADMAP tracks.
 loc:
@@ -56,16 +60,16 @@ bench-nn:
 	$(GO) test -bench 'BenchmarkConvFused' -benchmem -run '^$$' ./internal/tensor/
 
 # Quick iteration loop for the simulator hot path (zero-alloc Step/Run:
-# flit pools, head-index queues, routing caches, active-set sparse
-# stepping). Allocation counts are the regression signal — internal/sim's
-# AllocsPerRun tests pin them at zero per steady-state cycle — and the
-# SimRun matrix covers low rates (-r0.01/-r0.02, where sparse stepping
-# pays) plus near saturation (bare ring8x8/mesh8x8, where it must not
-# regress); BenchmarkSimRunDense is the dense-oracle "before" column.
-# PR 3 numbers live in BENCH_PR3.json, the sparse-vs-dense rows in
-# BENCH_PR8.json.
+# flit pools, head-index queues, the ring's rotating frame and arrival
+# calendar, the mesh's flat router arrays). Allocation counts are the
+# regression signal — internal/sim's AllocsPerRun tests pin them at zero
+# per steady-state cycle — and the SimRun matrix covers 8×8 at 0.01, 0.02
+# and 0.1 plus perfbench sim-sweep's 10×10 REC-ring and Mesh-2 shapes at
+# 0.02 and 0.25. internal/sim's BenchmarkSimRunDense runs the same rows on
+# the test-only dense reference walks, the before column.
 bench-sim:
 	$(GO) test -bench 'BenchmarkRingStep|BenchmarkMeshStep|BenchmarkSimRun' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkSimRunDense' -benchmem -run '^$$' ./internal/sim/
 
 # Quick iteration loop for the DRL episode hot path (incremental greedy
 # score cache, episode arenas, cached fingerprints). Allocation counts are

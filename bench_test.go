@@ -206,6 +206,9 @@ func BenchmarkMeshStep(b *testing.B) {
 // off), 0.1 the near-saturation path where it must not regress. The bare
 // ring8x8/mesh8x8 names keep their historical meaning (rate 0.1) so
 // BENCH_PR3.json comparisons stay valid.
+//
+// BenchmarkSimRun adds rows at perfbench sim-sweep's 10×10 REC-ring and
+// Mesh-2 shapes, uniform traffic at its low and high rate.
 var simRunRates = []struct {
 	suffix string
 	rate   float64
@@ -215,39 +218,42 @@ var simRunRates = []struct {
 	{"", 0.1},
 }
 
-// benchSimRun measures one full measurement point (warmup + measure +
+// BenchmarkSimRun measures one full measurement point (warmup + measure +
 // drain) — the unit of work every figure sweep repeats hundreds of times —
-// across the rate matrix, in either sparse (default) or dense stepping.
-func benchSimRun(b *testing.B, dense bool) {
+// across the rate matrix. internal/sim's BenchmarkSimRunDense runs the same
+// rows on the test-only reference models, the before column.
+func BenchmarkSimRun(b *testing.B) {
 	cfg := sim.RunConfig{WarmupCycles: 500, MeasureCycles: 2000, DrainCycles: 4000}
-	for _, row := range simRunRates {
-		row := row
-		b.Run("ring8x8"+row.suffix, func(b *testing.B) {
-			t := rec.MustGenerate(8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rc := sim.DefaultRingConfig()
-				rc.DenseStep = dense
-				net := sim.NewRing(t, rc)
-				src := traffic.NewInjector(8, 8, traffic.UniformRandom, row.rate, 128, 1)
-				res := sim.Run(net, src, cfg)
-				if res.PacketsDone == 0 {
-					b.Fatal("no packets delivered")
-				}
-			}
-		})
+	type row struct {
+		name string
+		n    int
+		rate float64
+		mesh bool
 	}
-	for _, row := range simRunRates {
-		row := row
-		b.Run("mesh8x8"+row.suffix, func(b *testing.B) {
+	var rows []row
+	for _, mesh := range []bool{false, true} {
+		kind := "ring"
+		if mesh {
+			kind = "mesh"
+		}
+		for _, r := range simRunRates {
+			rows = append(rows, row{kind + "8x8" + r.suffix, 8, r.rate, mesh})
+		}
+		rows = append(rows, row{kind + "10x10-r0.02", 10, 0.02, mesh}, row{kind + "10x10-r0.25", 10, 0.25, mesh})
+	}
+	for _, r := range rows {
+		r := r
+		b.Run(r.name, func(b *testing.B) {
+			mk := func() (sim.Network, int) { return sim.NewMesh(r.n, r.n, sim.MeshN(2)), 256 }
+			if !r.mesh {
+				t := rec.MustGenerate(r.n)
+				mk = func() (sim.Network, int) { return sim.NewRing(t, sim.DefaultRingConfig()), 128 }
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mc := sim.MeshN(2)
-				mc.DenseStep = dense
-				net := sim.NewMesh(8, 8, mc)
-				src := traffic.NewInjector(8, 8, traffic.UniformRandom, row.rate, 256, 1)
+				net, bits := mk()
+				src := traffic.NewInjector(r.n, r.n, traffic.UniformRandom, r.rate, bits, 1)
 				res := sim.Run(net, src, cfg)
 				if res.PacketsDone == 0 {
 					b.Fatal("no packets delivered")
@@ -256,12 +262,6 @@ func benchSimRun(b *testing.B, dense bool) {
 		})
 	}
 }
-
-func BenchmarkSimRun(b *testing.B) { benchSimRun(b, false) }
-
-// BenchmarkSimRunDense is BenchmarkSimRun on the dense-stepping oracle
-// path — the "before" column for BENCH_PR8.json's sparse-vs-dense rows.
-func BenchmarkSimRunDense(b *testing.B) { benchSimRun(b, true) }
 
 // BenchmarkSimRunTraced is BenchmarkSimRun's ring8x8 case with span
 // recording enabled: the run owns a trace shard and records its

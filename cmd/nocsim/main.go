@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -45,12 +46,33 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file of the run (load in Perfetto) to this path")
 	manifestPath := flag.String("manifest", "", "append a JSONL run-provenance manifest to this path")
 	progress := flag.Int("progress", 0, "print a progress line to stderr every N simulated cycles (0 = off)")
-	dense := flag.Bool("dense", false, "disable active-set sparse stepping (dense oracle walk; same results, slower below saturation)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "sweep points simulated in parallel (1 = sequential; output is identical either way)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention pprof profile of the simulation to this file")
 	blockProfile := flag.String("blockprofile", "", "write a goroutine-blocking pprof profile of the simulation to this file")
 	flag.Parse()
+	// Nonsense sizes would panic inside a sweep worker or print a sweep of
+	// zeros; reject them the way flag rejects a malformed value.
+	switch {
+	case *meshN < 0 || *meshN == 1:
+		usageError("-mesh must be 0 (off) or at least 2, got %d", *meshN)
+	case *delay < 0:
+		usageError("-delay must be non-negative, got %d", *delay)
+	case *warmup < 0:
+		usageError("-warmup must be non-negative, got %d", *warmup)
+	case *measure < 1:
+		usageError("-measure must be positive, got %d", *measure)
+	}
+	var rateList []float64
+	if *app == "" {
+		for _, rs := range strings.Split(*rates, ",") {
+			r, err := strconv.ParseFloat(strings.TrimSpace(rs), 64)
+			if err != nil || !(r >= 0) || math.IsInf(r, 0) {
+				usageError("-rates needs non-negative numbers, got %q", rs)
+			}
+			rateList = append(rateList, r)
+		}
+	}
 
 	var reg *obs.Registry
 	if *metricsPath != "" || *debugAddr != "" || *manifestPath != "" {
@@ -90,7 +112,6 @@ func main() {
 		manifest.Set("rates", *rates)
 		manifest.Set("warmup", *warmup)
 		manifest.Set("measure", *measure)
-		manifest.Set("dense", *dense)
 	}
 	// finishRun writes the trace and manifest once simulation is done (the
 	// trace only after all sweep workers have quiesced).
@@ -123,9 +144,7 @@ func main() {
 	case *meshN > 0:
 		rows, cols, linkBits = *meshN, *meshN, 256
 		mk = func() sim.Network {
-			mc := sim.MeshN(*delay)
-			mc.DenseStep = *dense
-			return sim.NewMesh(rows, cols, mc)
+			return sim.NewMesh(rows, cols, sim.MeshN(*delay))
 		}
 	case *topoPath != "":
 		data, err := os.ReadFile(*topoPath)
@@ -141,9 +160,7 @@ func main() {
 		}
 		rows, cols, linkBits = t.Rows(), t.Cols(), 128
 		mk = func() sim.Network {
-			rc := sim.DefaultRingConfig()
-			rc.DenseStep = *dense
-			return sim.NewRing(&t, rc)
+			return sim.NewRing(&t, sim.DefaultRingConfig())
 		}
 	default:
 		fatal(fmt.Errorf("need -topo or -mesh"))
@@ -160,8 +177,8 @@ func main() {
 			return nil
 		}
 		return func(s sim.IntervalStats) {
-			// act is the number of loops (ring) or routers (mesh) the
-			// sparse stepper is visiting — how sparse the run is.
+			// act is the number of loops (ring) or routers (mesh)
+			// carrying traffic — how busy the run is.
 			act := s.ActiveLoops
 			if act < 0 {
 				act = s.ActiveRouters
@@ -236,14 +253,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var rateList []float64
-	for _, rs := range strings.Split(*rates, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(rs), 64)
-		if err != nil {
-			fatal(err)
-		}
-		rateList = append(rateList, r)
-	}
 	// The sweep points are independent (each builds its own network and
 	// injector with the same seed), so fan them across -j workers; results
 	// land by rate index and are printed/logged in order afterwards, so
@@ -302,6 +311,14 @@ func main() {
 		fmt.Printf("sweep written to %s\n", *csvPath)
 	}
 	writeMetrics()
+}
+
+// usageError reports a bad flag value with the usage text and exits with
+// status 2, as flag does for a malformed one.
+func usageError(format string, a ...any) {
+	fmt.Fprintf(os.Stderr, "nocsim: "+format+"\n", a...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -111,36 +111,3 @@ func TestReportsParallelIdenticalToSequential(t *testing.T) {
 		t.Fatalf("Table 5 diverges with 8 workers:\n--- sequential\n%s\n--- parallel\n%s", seq, par)
 	}
 }
-
-// TestParallelSparseMatchesDenseUnderRace runs a concurrent sweep where
-// every point simulates the same workload twice — active-set sparse
-// stepping and the dense reference — on worker goroutines sharing a
-// metrics registry. `make ci` runs this package under -race, so it both
-// pins the dense-vs-sparse oracle at sweep granularity and proves the
-// sparse bookkeeping introduces no cross-worker sharing.
-func TestParallelSparseMatchesDenseUnderRace(t *testing.T) {
-	reg := obs.NewRegistry()
-	tpo := RECDesign(4)
-	cfg := sim.RunConfig{WarmupCycles: 200, MeasureCycles: 800, DrainCycles: 4000}
-	type pair struct{ sparse, dense sim.Result }
-	res := RunParallel(16, 8, reg, func(i int) pair {
-		rate := 0.01 + 0.02*float64(i%4)
-		seed := int64(100 + i)
-		runOne := func(dense bool) sim.Result {
-			rc := sim.DefaultRingConfig()
-			rc.DenseStep = dense
-			net := sim.NewRing(tpo, rc)
-			src := traffic.NewInjector(4, 4, traffic.UniformRandom, rate, 128, seed)
-			return sim.Run(net, src, cfg)
-		}
-		return pair{sparse: runOne(false), dense: runOne(true)}
-	})
-	for i, p := range res {
-		if p.sparse != p.dense {
-			t.Fatalf("point %d: sparse diverges from dense\n sparse: %+v\n dense:  %+v", i, p.sparse, p.dense)
-		}
-		if p.sparse.PacketsDone == 0 {
-			t.Fatalf("point %d delivered nothing", i)
-		}
-	}
-}

@@ -1,19 +1,18 @@
 package sim
 
-// activeSet tracks which stepping units (loops, routers, source nodes) a
-// sparse simulator cycle must visit. Membership is O(1) via the mark
-// array; the member list is kept in ascending index order because the
-// dense reference loops iterate units in index order and byte-identity
-// requires the sparse walk to observe shared state (ejection-port
-// budgets, credits, the mesh pipe) in exactly the same order.
+// activeSet tracks which stepping units (routers, source nodes, nodes with
+// parked flits) a simulator cycle must visit. Membership is O(1) via the
+// mark array; the member list is kept in ascending index order because the
+// reference walks visit every unit in index order, and the cycle must
+// observe shared state (ejection-port budgets, credits, the mesh pipe) in
+// exactly the same order.
 //
 // Mutation discipline (what makes iteration safe without snapshots):
 // add() is only called at points where the set is not being iterated —
-// Inject, pipe landing, extension parking, post-advance injection — and
-// removals happen only in compaction sweeps at controlled points (end of
-// Step, or a full rebuild after FailLoop dirties the epoch). Both list
-// and mark are preallocated to the unit count, so steady-state
-// maintenance never touches the heap.
+// Inject, pipe landing, extension parking — and removals happen only in
+// the retain sweep at the end of Step. Both list and mark are
+// preallocated to the unit count, so steady-state maintenance never
+// touches the heap.
 type activeSet struct {
 	list []int32
 	mark []bool
@@ -40,6 +39,21 @@ func (s *activeSet) add(i int) {
 		j--
 	}
 	s.list[j] = int32(i)
+}
+
+// retain drops the members for which keep reports false, preserving the
+// order of the rest.
+func (s *activeSet) retain(keep func(i int32) bool) {
+	w := 0
+	for _, v := range s.list {
+		if keep(v) {
+			s.list[w] = v
+			w++
+		} else {
+			s.mark[v] = false
+		}
+	}
+	s.list = s.list[:w]
 }
 
 // clear empties the set.

@@ -20,21 +20,8 @@ func testZeroAllocCycle(t *testing.T, net Network, src Source) {
 	// One packet pool shared by warmup and the measured phase, recycled by
 	// the network on delivery — the same ownership structure Run sets up.
 	pkts := pool[Packet]{}
-	recycle := func(p *Packet) { pkts.put(p) }
-	switch n := net.(type) {
-	case *Ring:
-		n.recycle = recycle
-	case *Mesh:
-		n.recycle = recycle
-	}
-	oneCycle := func(id int) {
-		for _, r := range src.Tick() {
-			p := pkts.get()
-			*p = Packet{ID: id, Src: r.Src, Dst: r.Dst, NumFlits: r.NumFlits, Done: -1}
-			net.Inject(p)
-		}
-		net.Step()
-	}
+	net.(recycler).swapRecycle(func(p *Packet) { pkts.put(p) })
+	oneCycle := func(id int) { stepOnce(net, src, &pkts, id) }
 	// Generous warmup: pools carve their blocks, queues reach peak
 	// occupancy, the pipeline buffer reaches steady capacity.
 	for i := 0; i < 3000; i++ {
@@ -103,12 +90,10 @@ func TestStepZeroAllocWithNilTraceSpan(t *testing.T) {
 	}
 }
 
-// The low-rate pins repeat the steady-state contract in the regime the
-// active-set work targets: a near-idle network where sparse stepping
-// skips almost every loop/router must still run whole cycles — set
-// compaction, ejDirty resets, bufCount updates included — without
-// touching the heap. The dense variants pin the oracle path too, since
-// parity tests run it at scale.
+// The low-rate pins repeat the steady-state contract in the regime where
+// almost every loop and router is idle: whole cycles — calendar buckets,
+// node-set compaction, ejDirty resets, busy-mask updates included — must
+// still run without touching the heap.
 
 func TestRingSparseLowRateZeroAlloc(t *testing.T) {
 	tp := rec.MustGenerate(8)
@@ -123,21 +108,61 @@ func TestMeshSparseLowRateZeroAlloc(t *testing.T) {
 	testZeroAllocCycle(t, net, src)
 }
 
-func TestRingDenseStepZeroAlloc(t *testing.T) {
-	tp := rec.MustGenerate(8)
-	cfg := DefaultRingConfig()
-	cfg.DenseStep = true
-	net := NewRing(tp, cfg)
-	src := traffic.NewInjector(8, 8, traffic.UniformRandom, 0.1, 128, 1)
-	testZeroAllocCycle(t, net, src)
+// TestStepZeroAllocTenByTen pins the benchmark's shapes: the 10×10 REC
+// ring and Mesh-2 under uniform traffic at 0.02 and 0.25.
+func TestStepZeroAllocTenByTen(t *testing.T) {
+	tp := rec.MustGenerate(10)
+	for _, rate := range []float64{0.02, 0.25} {
+		testZeroAllocCycle(t, NewRing(tp, DefaultRingConfig()),
+			traffic.NewInjector(10, 10, traffic.UniformRandom, rate, 128, 1))
+		testZeroAllocCycle(t, NewMesh(10, 10, MeshN(2)),
+			traffic.NewInjector(10, 10, traffic.UniformRandom, rate, 256, 1))
+	}
 }
 
-func TestMeshDenseStepZeroAlloc(t *testing.T) {
-	cfg := MeshN(2)
-	cfg.DenseStep = true
-	net := NewMesh(8, 8, cfg)
-	src := traffic.NewInjector(8, 8, traffic.UniformRandom, 0.1, 256, 1)
-	testZeroAllocCycle(t, net, src)
+// TestRingStepZeroAllocAfterFailLoop pins the ring's steady state after a
+// mid-run FailLoop has purged the calendar and re-routed queued packets,
+// at a low and a high rate. The failed loop keeps the network connected.
+func TestRingStepZeroAllocAfterFailLoop(t *testing.T) {
+	tp := rec.MustGenerate(8)
+	fail := -1
+	for li := range tp.Loops() {
+		probe := NewRing(tp, DefaultRingConfig())
+		probe.FailLoop(li)
+		if fullyConnected(probe, 8) {
+			fail = li
+			break
+		}
+	}
+	if fail < 0 {
+		t.Fatal("no loop of the 8x8 REC design can fail without disconnecting it")
+	}
+	for _, rate := range []float64{0.01, 0.1} {
+		net := NewRing(tp, DefaultRingConfig())
+		src := traffic.NewInjector(8, 8, traffic.UniformRandom, rate, 128, 1)
+		pkts := pool[Packet]{}
+		net.recycle = func(p *Packet) { pkts.put(p) }
+		for i := 0; i < 1500; i++ {
+			stepOnce(net, src, &pkts, i)
+		}
+		net.FailLoop(fail)
+		for i := 0; i < 3000; i++ {
+			stepOnce(net, src, &pkts, i)
+		}
+		if allocs := testing.AllocsPerRun(500, func() { stepOnce(net, src, &pkts, 1<<20) }); allocs != 0 {
+			t.Fatalf("rate %v: cycle after FailLoop allocates %.1f times, want 0", rate, allocs)
+		}
+	}
+}
+
+// stepOnce injects one cycle of src's traffic from pkts and steps net.
+func stepOnce(net Network, src Source, pkts *pool[Packet], id int) {
+	for _, r := range src.Tick() {
+		p := pkts.get()
+		*p = Packet{ID: id, Src: r.Src, Dst: r.Dst, NumFlits: r.NumFlits, Done: -1}
+		net.Inject(p)
+	}
+	net.Step()
 }
 
 // TestRunAllocsConstantPerRun pins the other half of the contract: total

@@ -14,25 +14,20 @@ import (
 // possible and dropped otherwise. Whether the degraded network remains
 // fully connected can be checked via Degraded().
 func (r *Ring) FailLoop(idx int) {
-	if idx < 0 || idx >= len(r.loops) {
+	if idx < 0 || idx >= len(r.loopLen) {
 		panic(fmt.Sprintf("sim: FailLoop index %d out of range", idx))
 	}
 	if r.failed == nil {
-		r.failed = make([]bool, len(r.loops))
+		r.failed = make([]bool, len(r.loopLen))
 	}
 	if r.failed[idx] {
 		return
 	}
 	r.failed[idx] = true
-	// Invalidate the sparse-stepping active sets: occupancy counters and
-	// the live-slot total change under this function's feet, so the next
-	// sparse Step rebuilds them from ground truth (O(topology), once per
-	// failure).
-	r.dirtyEpoch++
 
 	// Drop in-flight flits on the failed loop; their packets are lost.
-	ls := r.loops[idx]
-	for i, f := range ls.slot {
+	off := r.loopOff[idx]
+	for k, f := range r.slots[off : off+r.loopLen[idx]] {
 		if f == nil {
 			continue
 		}
@@ -41,8 +36,16 @@ func (r *Ring) FailLoop(idx int) {
 			r.inFlight--
 			f.pkt.remaining = -1 // failed marker; Done stays -1
 		}
-		ls.slot[i] = nil
+		r.slots[off+k] = nil
+		r.setOcc(idx, -1)
 		r.flits.put(f)
+	}
+	r.liveSlots -= int64(r.loopLen[idx])
+	// Purge the dropped flits' arrivals from the calendar.
+	for g := off; g < off+r.loopLen[idx]; g++ {
+		for row := 0; row <= r.wheelMask; row++ {
+			r.wheel[row*r.words+g>>6] &^= 1 << (g & 63)
+		}
 	}
 
 	// Rebuild routing around the failure and refresh the injection cache.
@@ -78,7 +81,6 @@ func (r *Ring) FailLoop(idx int) {
 				continue
 			}
 			inj.loopIdx = li
-			inj.distance = int(r.routeDist[inj.pkt.Src*r.topo.N()+inj.pkt.Dst])
 			q.push(inj)
 		}
 	}

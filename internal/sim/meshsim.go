@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"routerless/internal/mesh"
 	"routerless/internal/topo"
 )
@@ -10,28 +12,30 @@ import (
 // pipeline depth of 2 (Mesh-2), 1 (Mesh-1) or 0 (Mesh-0, the "ideal"
 // router with only link/contention delays).
 type MeshConfig struct {
-	VCs         int
+	VCs         int // at most maxMeshVCs
 	BufferFlits int
 	RouterDelay int // pipeline cycles per router
-	// DenseStep disables active-set sparse stepping: every router runs
-	// its ejection/switch/injection phases every cycle, the pre-sparse
-	// behavior. Kept as the byte-identity oracle for the sparse path
-	// (see RingConfig.DenseStep).
-	DenseStep bool
 }
+
+// maxMeshVCs bounds MeshConfig.VCs so that a router's input VCs fit one
+// 64-bit mask.
+const maxMeshVCs = 64 / int(mesh.NumPorts)
 
 // MeshN returns the paper's Mesh-N configuration (N = router delay).
 func MeshN(delay int) MeshConfig {
 	return MeshConfig{VCs: 2, BufferFlits: 4, RouterDelay: delay}
 }
 
-// meshFlit is a flit inside the mesh network.
+// meshFlit is a flit inside the mesh network. out is its output port at
+// the router whose input VC holds it (Local: eject here), computed when
+// the flit lands there.
 type meshFlit struct {
 	pkt  *Packet
 	head bool
 	tail bool
 	hops int
 	dst  topo.Node
+	out  mesh.Port
 }
 
 // vcState is one virtual channel at one input port. The FIFO is a fixed
@@ -46,28 +50,12 @@ type vcState struct {
 	outVC   int
 }
 
-// inputPort groups the VCs of one router input.
-type inputPort struct {
-	vcs []*vcState
-}
-
-// router is one mesh router.
-type router struct {
-	node   topo.Node
-	inputs [mesh.NumPorts]*inputPort
-	// credits[port][vc] = free buffer slots at the downstream input.
-	credits [mesh.NumPorts][]int
-	// downVCBusy[port][vc] = downstream VC currently owned by a packet.
-	downVCBusy [mesh.NumPorts][]bool
-}
-
 // delivery is a flit in transit through the router pipeline + link.
 type delivery struct {
 	at     int // arrival cycle
 	flit   *meshFlit
 	toNode int // destination router node ID
-	toPort mesh.Port
-	toVC   int
+	toVC   int // input VC index at the destination router
 }
 
 // cand is one (input port, VC) switch-arbitration candidate.
@@ -77,40 +65,46 @@ type cand struct {
 }
 
 // Mesh is the cycle-accurate router-based mesh simulator.
+//
+// Router state lives in flat arrays. A router's input VCs are numbered
+// port*VCs+vc, so vcs[id*nvc+b] is VC b of router id, and credits and
+// downVCBusy for output port p, downstream VC v sit at id*nvc+p*VCs+v.
+// busy[id] has bit b set exactly when VC b of router id holds a flit.
 type Mesh struct {
 	rows, cols int
 	cfg        MeshConfig
-	routers    []*router
-	// pipe holds flits traversing pipeline+link, ordered FIFO per edge by
-	// construction (arrival times are monotone per VC). pipeScratch is the
-	// retained filter buffer Step swaps with pipe each cycle.
-	pipe        []delivery
-	pipeScratch []delivery
+	nvc        int
+	nodes      []topo.Node
+	// nbr[id*NumPorts+p] is the router beyond port p of router id, or -1.
+	nbr        []int32
+	vcs        []vcState
+	credits    []int32
+	downVCBusy []bool
+	busy       []uint64
+	// pipe holds flits traversing pipeline+link. Every delivery takes the
+	// same delay, so arrival cycles rise along the queue and landing pops
+	// a prefix.
+	pipe queue[delivery]
 
-	// cands enumerates every (port, VC) pair once; the shape is identical
-	// for all routers, so switch arbitration shares this read-only slice.
+	// cands[b] names input VC b; the shape is identical for all routers.
 	cands []cand
 
 	// flits recycles meshFlit records; steady-state injection and
 	// delivery never allocate.
 	flits pool[meshFlit]
-	// recycle, when set, reclaims a completed packet (the Run freelist).
-	recycle func(*Packet)
+	// onDeliver, when set, observes each completed packet; recycle
+	// reclaims it afterwards (the Run freelist).
+	onDeliver func(*Packet)
+	recycle   func(*Packet)
 
 	srcQueue []queue[*Packet]
 	srcSent  []int // flits of head packet already injected
 	srcVC    []int // local VC chosen for the head packet mid-injection
 
-	// Active-set state for sparse stepping: bufCount[id] counts the flits
-	// across all of router id's input VCs (maintained at every fifo
-	// push/pop site, in dense mode too so either mode can audit it), and
 	// active is exactly the routers with buffered flits or queued source
-	// packets — the only routers whose ejection/switch/injection phases
-	// are not provably no-ops. Neighbors activate when a pipe delivery
-	// lands a flit in their input VC.
-	bufCount []int32
-	active   activeSet
-	dense    bool
+	// packets, ascending — the only routers whose ejection, switch and
+	// injection phases are not no-ops.
+	active activeSet
 
 	cycle     int
 	inFlight  int
@@ -123,33 +117,36 @@ type Mesh struct {
 
 // NewMesh builds a rows×cols mesh of VC wormhole routers.
 func NewMesh(rows, cols int, cfg MeshConfig) *Mesh {
-	if cfg.VCs < 1 || cfg.BufferFlits < 1 || cfg.RouterDelay < 0 {
+	if cfg.VCs < 1 || cfg.VCs > maxMeshVCs || cfg.BufferFlits < 1 || cfg.RouterDelay < 0 {
 		panic("sim: invalid MeshConfig")
 	}
+	n, nvc := rows*cols, int(mesh.NumPorts)*cfg.VCs
 	m := &Mesh{
-		rows: rows, cols: cols, cfg: cfg,
-		srcQueue: make([]queue[*Packet], rows*cols),
-		srcSent:  make([]int, rows*cols),
-		srcVC:    make([]int, rows*cols),
-		bufCount: make([]int32, rows*cols),
-		active:   newActiveSet(rows * cols),
-		dense:    cfg.DenseStep,
+		rows: rows, cols: cols, cfg: cfg, nvc: nvc,
+		nodes:      make([]topo.Node, n),
+		nbr:        make([]int32, n*int(mesh.NumPorts)),
+		vcs:        make([]vcState, n*nvc),
+		credits:    make([]int32, n*nvc),
+		downVCBusy: make([]bool, n*nvc),
+		busy:       make([]uint64, n),
+		srcQueue:   make([]queue[*Packet], n),
+		srcSent:    make([]int, n),
+		srcVC:      make([]int, n),
+		active:     newActiveSet(n),
 	}
-	for id := 0; id < rows*cols; id++ {
-		r := &router{node: topo.NodeFromID(id, cols)}
+	back := make([]*meshFlit, n*nvc*cfg.BufferFlits)
+	for g := range m.vcs {
+		m.vcs[g].fifo.buf = back[g*cfg.BufferFlits : (g+1)*cfg.BufferFlits : (g+1)*cfg.BufferFlits]
+		m.credits[g] = int32(cfg.BufferFlits)
+	}
+	for id := range m.nodes {
+		m.nodes[id] = topo.NodeFromID(id, cols)
 		for p := mesh.Port(0); p < mesh.NumPorts; p++ {
-			ip := &inputPort{}
-			for v := 0; v < cfg.VCs; v++ {
-				ip.vcs = append(ip.vcs, &vcState{fifo: newRingBuf[*meshFlit](cfg.BufferFlits)})
-			}
-			r.inputs[p] = ip
-			r.credits[p] = make([]int, cfg.VCs)
-			r.downVCBusy[p] = make([]bool, cfg.VCs)
-			for v := 0; v < cfg.VCs; v++ {
-				r.credits[p][v] = cfg.BufferFlits
+			m.nbr[id*int(mesh.NumPorts)+int(p)] = -1
+			if nb, ok := mesh.Neighbor(m.nodes[id], p, rows, cols); ok {
+				m.nbr[id*int(mesh.NumPorts)+int(p)] = int32(nb.ID(cols))
 			}
 		}
-		m.routers = append(m.routers, r)
 	}
 	for p := mesh.Port(0); p < mesh.NumPorts; p++ {
 		for v := 0; v < cfg.VCs; v++ {
@@ -172,145 +169,87 @@ func (m *Mesh) InFlight() int { return m.inFlight }
 func (m *Mesh) Inject(p *Packet) {
 	p.remaining = p.NumFlits
 	m.srcQueue[p.Src].push(p)
-	if !m.dense {
-		m.active.add(p.Src)
-	}
+	m.active.add(p.Src)
 	m.inFlight++
 }
 
 // Step implements Network. Phases: deliver pipelined flits into downstream
-// buffers; switch allocation + traversal at every router; NI injection and
-// ejection.
+// buffers; ejection, then switch allocation + traversal, then NI
+// injection at every active router, each phase in ascending router order
+// (switch traversal returns credits upstream and appends to the shared
+// pipe, so the order is observable).
 //
-// By default the router phases are *sparse*: only routers with a
-// non-empty input VC or a queued source packet are visited (ejection,
-// switch allocation, and injection at an empty router are all provably
-// no-ops), in ascending router order — switch traversal returns credits
-// upstream and appends to the shared pipe, so visit order is observable
-// and must match the dense walk. The pipe-landing phase is already
-// proportional to in-flight flits. Switch arbitration's rotating offset
-// is derived from the cycle counter: the old per-router rrIn counter was
-// incremented unconditionally once per cycle and therefore always equaled
-// the cycle number, so the derivation is bit-identical while letting
-// quiescent routers skip the increment. The dense walk survives as
-// denseStep behind MeshConfig.DenseStep, the sparse path's oracle.
+// Idle routers are skipped: ejection, switch allocation and injection at a
+// router with no buffered flit and no queued packet are no-ops. Inside a
+// router the busy mask visits only non-empty VCs, in the order the full
+// (port, VC) scan met them. Switch arbitration starts at a rotating
+// offset derived from the cycle counter.
 func (m *Mesh) Step() {
-	if m.dense {
-		m.denseStep()
-		return
-	}
 	// Phase 1: land flits whose pipeline+link delay elapsed, activating
-	// the receiving router. Survivors are compacted into the retained
-	// scratch buffer, then the buffers swap — no per-cycle allocation.
-	keep := m.pipeScratch[:0]
-	for _, d := range m.pipe {
-		if d.at > m.cycle {
-			keep = append(keep, d)
-			continue
-		}
-		rt := m.routers[d.toNode]
-		rt.inputs[d.toPort].vcs[d.toVC].fifo.push(d.flit)
-		m.bufCount[d.toNode]++
+	// the receiving router.
+	for m.pipe.len() > 0 && m.pipe.front().at <= m.cycle {
+		d := m.pipe.pop()
+		d.flit.out = mesh.OutputPort(m.nodes[d.toNode], d.flit.dst)
+		m.push(d.toNode, d.toVC, d.flit)
 		m.active.add(d.toNode)
 	}
-	m.pipeScratch = m.pipe[:0]
-	m.pipe = keep
 
 	// Phases 2-4 visit only active routers. No additions can occur
 	// mid-sweep: landing happened above, traversal schedules arrivals at
 	// least one cycle out, and injection only touches the router's own
-	// buffers — so the list is stable and removals wait for compaction.
+	// buffers — so the list is stable and removals wait for retain.
 	list := m.active.list
-	off := m.cycle % len(m.cands)
+	off := m.cycle % m.nvc
 	for _, v := range list {
-		m.ejectOne(int(v), m.routers[v])
+		m.ejectOne(int(v))
 	}
 	for _, v := range list {
-		m.switchAlloc(int(v), m.routers[v], off)
+		m.switchAlloc(int(v), off)
 	}
 	for _, v := range list {
 		m.injectOne(int(v))
 	}
 
-	// Compact (order-preserving): drop routers that went fully quiescent.
-	w := 0
-	for _, v := range list {
-		if m.bufCount[v] > 0 || m.srcQueue[v].len() > 0 {
-			list[w] = v
-			w++
-		} else {
-			m.active.mark[v] = false
-		}
-	}
-	m.active.list = list[:w]
+	// Drop routers that went fully quiescent.
+	m.active.retain(func(id int32) bool { return m.busy[id] != 0 || m.srcQueue[id].len() > 0 })
 
 	m.utilSamps += int64(2 * m.Nodes()) // rough per-node link pair sample
-	m.util += int64(len(m.pipe))
+	m.util += int64(m.pipe.len())
 	m.cycle++
 }
 
-// denseStep is the pre-sparse cycle: every router runs every phase every
-// cycle. Retained as the byte-identity oracle for sparse stepping
-// (MeshConfig.DenseStep).
-func (m *Mesh) denseStep() {
-	keep := m.pipeScratch[:0]
-	for _, d := range m.pipe {
-		if d.at > m.cycle {
-			keep = append(keep, d)
+// push appends f to input VC b of router id.
+func (m *Mesh) push(id, b int, f *meshFlit) {
+	m.vcs[id*m.nvc+b].fifo.push(f)
+	m.busy[id] |= 1 << b
+}
+
+// pop removes the head flit of input VC b of router id and returns its
+// credit upstream.
+func (m *Mesh) pop(id, b int) *meshFlit {
+	fifo := &m.vcs[id*m.nvc+b].fifo
+	f := fifo.pop()
+	if fifo.len() == 0 {
+		m.busy[id] &^= 1 << b
+	}
+	if c := m.cands[b]; c.p != mesh.Local {
+		m.creditReturnVC(id, c.p, c.vc)
+	}
+	return f
+}
+
+// ejectOne sinks one destination flit at router id: the first non-empty
+// VC, in (port, VC) order, whose head flit is destined here.
+func (m *Mesh) ejectOne(id int) {
+	for mask := m.busy[id]; mask != 0; mask &= mask - 1 {
+		b := bits.TrailingZeros64(mask)
+		if m.vcs[id*m.nvc+b].fifo.front().out != mesh.Local {
 			continue
 		}
-		rt := m.routers[d.toNode]
-		rt.inputs[d.toPort].vcs[d.toVC].fifo.push(d.flit)
-		m.bufCount[d.toNode]++
-	}
-	m.pipeScratch = m.pipe[:0]
-	m.pipe = keep
-
-	// Phase 2: ejection — each router sinks up to one flit per cycle from
-	// input VCs holding flits destined here.
-	for id, rt := range m.routers {
-		m.ejectOne(id, rt)
-	}
-
-	// Phase 3: route computation + VC allocation + switch allocation +
-	// traversal, one flit per output port, one per input VC.
-	off := m.cycle % len(m.cands)
-	for id, rt := range m.routers {
-		m.switchAlloc(id, rt, off)
-	}
-
-	// Phase 4: NI injection into the Local input port.
-	for id := range m.routers {
-		m.injectOne(id)
-	}
-
-	m.utilSamps += int64(2 * m.Nodes()) // rough per-node link pair sample
-	m.util += int64(len(m.pipe))
-	m.cycle++
-}
-
-// ejectOne sinks one destination flit at router id, preferring the VC
-// whose head has waited longest (round-robin over ports for fairness).
-func (m *Mesh) ejectOne(id int, rt *router) {
-	for p := mesh.Port(0); p < mesh.NumPorts; p++ {
-		for v, vc := range rt.inputs[p].vcs {
-			if vc.fifo.len() == 0 {
-				continue
-			}
-			f := vc.fifo.front()
-			if f.dst.ID(m.cols) != id {
-				continue
-			}
-			// Wormhole ordering: the whole packet drains through this VC
-			// one flit per cycle.
-			vc.fifo.pop()
-			m.bufCount[id]--
-			if p != mesh.Local {
-				m.creditReturnVC(id, p, v)
-			}
-			m.finish(f)
-			return
-		}
+		// Wormhole ordering: the whole packet drains through this VC
+		// one flit per cycle.
+		m.finish(m.pop(id, b))
+		return
 	}
 }
 
@@ -326,90 +265,99 @@ func (m *Mesh) finish(f *meshFlit) {
 	if p.remaining == 0 {
 		p.Done = m.cycle
 		m.inFlight--
+		if m.onDeliver != nil {
+			m.onDeliver(p)
+		}
 		if m.recycle != nil {
 			m.recycle(p)
 		}
 	}
 }
 
+// swapRecycle implements recycler.
+func (m *Mesh) swapRecycle(fn func(*Packet)) func(*Packet) {
+	prev := m.recycle
+	m.recycle = fn
+	return prev
+}
+
 // switchAlloc performs routing, VC allocation and switch traversal for
-// router id: at most one flit leaves per output port per cycle. off is
-// the cycle-derived rotating arbitration offset shared by all routers.
-func (m *Mesh) switchAlloc(id int, rt *router, off int) {
-	usedOut := [mesh.NumPorts]bool{}
-	// Iterate all (port, vc) pairs starting from the rotating offset for
-	// fairness; the candidate list is shared and read-only.
-	cands := m.cands
-	for k := 0; k < len(cands); k++ {
-		c := cands[(k+off)%len(cands)]
-		vc := rt.inputs[c.p].vcs[c.vc]
-		if vc.fifo.len() == 0 {
-			continue
-		}
-		f := vc.fifo.front()
-		if f.dst.ID(m.cols) == id {
-			continue // ejection handled separately
-		}
-		outPort := mesh.OutputPort(rt.node, f.dst)
-		if usedOut[outPort] {
-			continue
-		}
-		// VC allocation for head flits.
-		if f.head && !vc.active {
-			ov := m.allocVC(rt, outPort)
-			if ov < 0 {
-				continue // no downstream VC free
-			}
-			vc.active = true
-			vc.outPort = outPort
-			vc.outVC = ov
-		}
-		if !vc.active {
-			continue // body flit before its head allocated (shouldn't happen)
-		}
-		if vc.outPort != outPort {
-			outPort = vc.outPort // wormhole: follow the head's route
-			if usedOut[outPort] {
-				continue
-			}
-		}
-		if rt.credits[outPort][vc.outVC] == 0 {
-			continue // downstream buffer full
-		}
-		// Traverse: consume credit, schedule arrival after pipeline+link.
-		rt.credits[outPort][vc.outVC]--
-		vc.fifo.pop()
-		m.bufCount[id]--
-		if c.p != mesh.Local {
-			m.creditReturnVC(id, c.p, c.vc)
-		}
-		next, ok := mesh.Neighbor(rt.node, outPort, m.rows, m.cols)
-		if !ok {
-			panic("sim: mesh route exits grid")
-		}
-		f.hops++
-		m.pipe = append(m.pipe, delivery{
-			at:     m.cycle + m.cfg.RouterDelay + 1,
-			flit:   f,
-			toNode: next.ID(m.cols),
-			toPort: mesh.Opposite(outPort),
-			toVC:   vc.outVC,
-		})
-		usedOut[outPort] = true
-		if f.tail {
-			// Release the downstream VC for reallocation once the tail
-			// has left this router.
-			rt.downVCBusy[outPort][vc.outVC] = false
-			vc.active = false
+// router id: at most one flit leaves per output port per cycle. The
+// non-empty VCs are visited from the rotating offset off upward, then
+// from 0 up to off. Each VC is visited once and only the visited VC is
+// popped, so the mask read up front stays exact for the rest of the walk.
+func (m *Mesh) switchAlloc(id, off int) {
+	var usedOut [mesh.NumPorts]bool
+	mask := m.busy[id]
+	hi := mask >> off << off
+	for _, set := range [2]uint64{hi, mask &^ hi} {
+		for ; set != 0; set &= set - 1 {
+			m.traverse(id, bits.TrailingZeros64(set), &usedOut)
 		}
 	}
 }
 
-// allocVC finds a free downstream VC on outPort.
-func (m *Mesh) allocVC(rt *router, outPort mesh.Port) int {
+// traverse tries to send the head flit of input VC b of router id.
+func (m *Mesh) traverse(id, b int, usedOut *[mesh.NumPorts]bool) {
+	vc := &m.vcs[id*m.nvc+b]
+	f := vc.fifo.front()
+	outPort := f.out
+	if outPort == mesh.Local || usedOut[outPort] {
+		return // ejection is handled separately
+	}
+	// VC allocation for head flits.
+	if f.head && !vc.active {
+		ov := m.allocVC(id, outPort)
+		if ov < 0 {
+			return // no downstream VC free
+		}
+		vc.active = true
+		vc.outPort = outPort
+		vc.outVC = ov
+	}
+	if !vc.active {
+		return // body flit before its head allocated (shouldn't happen)
+	}
+	if vc.outPort != outPort {
+		outPort = vc.outPort // wormhole: follow the head's route
+		if usedOut[outPort] {
+			return
+		}
+	}
+	credit := id*m.nvc + int(outPort)*m.cfg.VCs + vc.outVC
+	if m.credits[credit] == 0 {
+		return // downstream buffer full
+	}
+	// Traverse: consume credit, schedule arrival after pipeline+link.
+	m.credits[credit]--
+	outVC := vc.outVC
+	if f.tail {
+		// Release the downstream VC for reallocation once the tail has
+		// left this router.
+		m.downVCBusy[credit] = false
+		vc.active = false
+	}
+	m.pop(id, b)
+	next := m.nbr[id*int(mesh.NumPorts)+int(outPort)]
+	if next < 0 {
+		panic("sim: mesh route exits grid")
+	}
+	f.hops++
+	m.pipe.push(delivery{
+		at:     m.cycle + m.cfg.RouterDelay + 1,
+		flit:   f,
+		toNode: int(next),
+		toVC:   int(mesh.Opposite(outPort))*m.cfg.VCs + outVC,
+	})
+	usedOut[outPort] = true
+}
+
+// allocVC finds a free downstream VC on outPort of router id.
+func (m *Mesh) allocVC(id int, outPort mesh.Port) int {
+	base := id*m.nvc + int(outPort)*m.cfg.VCs
 	for v := 0; v < m.cfg.VCs; v++ {
-		if !rt.downVCBusy[outPort][v] {
-			rt.downVCBusy[outPort][v] = true
+		if !m.downVCBusy[base+v] {
+			m.downVCBusy[base+v] = true
 			return v
 		}
 	}
@@ -419,14 +367,13 @@ func (m *Mesh) allocVC(rt *router, outPort mesh.Port) int {
 // creditReturnVC returns a credit for a specific (input port, VC) of
 // router id to its upstream neighbour.
 func (m *Mesh) creditReturnVC(id int, p mesh.Port, vcIdx int) {
-	up, ok := mesh.Neighbor(m.routers[id].node, p, m.rows, m.cols)
-	if !ok {
+	up := m.nbr[id*int(mesh.NumPorts)+int(p)]
+	if up < 0 {
 		return
 	}
-	upRt := m.routers[up.ID(m.cols)]
-	op := mesh.Opposite(p)
-	if upRt.credits[op][vcIdx] < m.cfg.BufferFlits {
-		upRt.credits[op][vcIdx]++
+	c := &m.credits[int(up)*m.nvc+int(mesh.Opposite(p))*m.cfg.VCs+vcIdx]
+	if *c < int32(m.cfg.BufferFlits) {
+		*c++
 	}
 }
 
@@ -437,21 +384,19 @@ func (m *Mesh) injectOne(id int) {
 	if q.len() == 0 {
 		return
 	}
-	rt := m.routers[id]
 	p := q.front()
-	// Pick a local VC: head flits need a VC whose fifo can take the whole
-	// packet progressively; use the emptiest.
+	// Local-port VCs are numbered 0..VCs-1. Head flits need a VC whose
+	// fifo can take the whole packet progressively; use the emptiest.
+	local := m.vcs[id*m.nvc : id*m.nvc+m.cfg.VCs]
 	best, bestFree := -1, 0
 	if m.srcSent[id] > 0 {
 		// Keep packets on a single local VC: body flits must follow the
 		// head, so while mid-injection stick to the chosen VC.
-		v := m.srcVC[id]
-		best = v
-		bestFree = m.cfg.BufferFlits - rt.inputs[mesh.Local].vcs[v].fifo.len()
+		best = m.srcVC[id]
+		bestFree = m.cfg.BufferFlits - local[best].fifo.len()
 	} else {
-		for v, vc := range rt.inputs[mesh.Local].vcs {
-			free := m.cfg.BufferFlits - vc.fifo.len()
-			if free > bestFree {
+		for v := range local {
+			if free := m.cfg.BufferFlits - local[v].fifo.len(); free > bestFree {
 				best, bestFree = v, free
 			}
 		}
@@ -463,12 +408,12 @@ func (m *Mesh) injectOne(id int) {
 	f.pkt = p
 	f.head = m.srcSent[id] == 0
 	f.tail = m.srcSent[id] == p.NumFlits-1
-	f.dst = topo.NodeFromID(p.Dst, m.cols)
+	f.dst = m.nodes[p.Dst]
+	f.out = mesh.OutputPort(m.nodes[id], f.dst)
 	if f.head {
 		m.srcVC[id] = best
 	}
-	rt.inputs[mesh.Local].vcs[best].fifo.push(f)
-	m.bufCount[id]++
+	m.push(id, best, f)
 	m.injectedFlits++
 	m.srcSent[id]++
 	if m.srcSent[id] == p.NumFlits {
@@ -488,43 +433,16 @@ func (m *Mesh) DeliveredFlits() int64 { return m.deliveredFlits }
 // per-interval congestion probe for the telemetry layer.
 func (m *Mesh) BufferOccupancy() int {
 	n := 0
-	for _, rt := range m.routers {
-		for _, ip := range rt.inputs {
-			for _, vc := range ip.vcs {
-				n += vc.fifo.len()
-			}
-		}
+	for g := range m.vcs {
+		n += m.vcs[g].fifo.len()
 	}
 	return n
 }
 
 // ActiveRouters returns the number of routers with buffered flits or
 // queued source packets as of the last completed cycle — the units a
-// sparse cycle actually steps. Dense mode computes it from the
-// ground-truth FIFO/queue state, so comparing the two modes' interval
-// streams doubles as a bufCount-bookkeeping oracle.
-func (m *Mesh) ActiveRouters() int {
-	if !m.dense {
-		return m.active.len()
-	}
-	n := 0
-	for id, rt := range m.routers {
-		if m.srcQueue[id].len() > 0 {
-			n++
-			continue
-		}
-	scan:
-		for _, ip := range rt.inputs {
-			for _, vc := range ip.vcs {
-				if vc.fifo.len() > 0 {
-					n++
-					break scan
-				}
-			}
-		}
-	}
-	return n
-}
+// cycle actually steps.
+func (m *Mesh) ActiveRouters() int { return m.active.len() }
 
 // LinkUtilization implements Network: mean in-transit flits per link
 // sample; a coarse activity factor for the power model.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"routerless/internal/topo"
 )
@@ -19,12 +20,6 @@ type RingConfig struct {
 	// InjectPerCycle is the number of flits a node can source per cycle
 	// (the injection link width; the paper's single-cycle injection).
 	InjectPerCycle int
-	// DenseStep disables active-set sparse stepping: every loop and node
-	// is walked every cycle, the pre-sparse behavior. Sparse stepping is
-	// byte-identical (a skipped step is provably a no-op), so this knob
-	// exists as the oracle for the dense-vs-sparse parity tests and for
-	// before/after benchmarking, mirroring bruteGreedySearch.
-	DenseStep bool
 }
 
 // DefaultRingConfig matches the paper's REC/DRL setup: single-flit
@@ -33,38 +28,52 @@ func DefaultRingConfig() RingConfig {
 	return RingConfig{EjectPorts: 1, ExtensionBuffers: 4, InjectPerCycle: 1}
 }
 
-// flit is one in-flight flit on a loop.
+// flit is one in-flight flit on a loop. born is the first cycle it is
+// latched at its source slot; its hop count on leaving the loop at cycle c
+// is c − born, set when it ejects or parks.
 type flit struct {
 	pkt  *Packet
-	tail bool
+	born int
 	hops int
 }
 
-// loopState is the conveyor of per-node flit buffers for one loop. slot[i]
-// holds the flit currently latched at perimeter position i; every cycle all
-// flits advance one position (single-cycle per hop — the defining
-// routerless property: no stalls on the ring).
-type loopState struct {
-	loop  topo.Loop
-	nodes []int // node IDs along traversal order
-	// posOf[nodeID] = perimeter index, or -1.
-	slot []*flit
-	next []*flit
-}
-
 // Ring is the cycle-accurate routerless network simulator.
+//
+// Loops are conveyors: a flit advances one slot per cycle and never stalls,
+// so its position is a pure function of the cycle. Each loop therefore
+// keeps its slot array fixed and reads it in a rotating frame: the flit at
+// slots[off+k] of loop li sits at perimeter position (k + c) mod L during
+// cycle c's ejection phase, and advancing the loop costs nothing. At
+// injection a flit is entered in the arrival calendar, a timing wheel of
+// per-cycle bitmaps, under the cycle it reaches its destination slot; a
+// cycle touches only that cycle's arrivals.
 type Ring struct {
-	topo  *topo.Topology
-	rt    *topo.RoutingTable
-	cfg   RingConfig
-	loops []*loopState
-	// posOf[loopIdx][nodeID] = perimeter index or -1.
-	posOf [][]int
+	topo *topo.Topology
+	rt   *topo.RoutingTable
+	cfg  RingConfig
 
-	// routeLoop/routeDist flatten the routing table by src*N+dst so the
-	// injection path is two array reads (rebuilt by FailLoop).
+	// slots holds every loop's slots back to back: loop li owns
+	// slots[loopOff[li] : loopOff[li]+loopLen[li]].
+	slots   []*flit
+	loopOff []int
+	loopLen []int
+	// posOf[li*N+node] = node's perimeter index on loop li, or -1.
+	posOf []int32
+	// loopOf[g] is the loop of global position g = loopOff[li]+pos.
+	loopOf []int32
+	// routeLoop flattens the routing table by src*N+dst so the injection
+	// path is one array read (rebuilt by FailLoop).
 	routeLoop []int32
-	routeDist []int32
+
+	// The arrival calendar: row a&wheelMask of wheel, words uint64s wide,
+	// has bit g set when a flit reaches global position g — its
+	// destination — in cycle a. Every arrival lies at most one loop length
+	// ahead, and the wheel has more rows than the longest loop has slots.
+	// Scanning a row's bits in ascending g meets arrivals in ascending
+	// loop, then ascending position order.
+	wheel     []uint64
+	wheelMask int
+	words     int
 
 	// srcQueue[node] holds packets awaiting injection, each tracked by
 	// flits remaining to inject.
@@ -77,29 +86,26 @@ type Ring struct {
 	flits pool[flit]
 	injs  pool[injecting]
 
-	// ejected is Step's per-cycle ejection-port scratch, hoisted here so
-	// the forwarding path allocates nothing. Sparse stepping resets only
-	// the entries dirtied last cycle (ejDirty); dense stepping zeroes the
-	// whole array.
+	// ejected counts this cycle's ejections per node; ejDirty lists the
+	// nodes to reset before the next cycle.
 	ejected []int
 	ejDirty []int32
 
-	// Active-set state for sparse stepping (see Step). occ[i] counts the
-	// occupied slots of loop i, maintained at every inject/eject/park/drop
-	// site; loopActive is exactly the loops with occ > 0, extActive the
-	// nodes with parked extension flits, injActive the nodes with queued
-	// source packets. liveSlots caches the summed slot count of all
-	// non-failed loops (the per-cycle slotSamples increment). FailLoop
-	// bumps dirtyEpoch; the next Step rebuilds everything from scratch
-	// when cleanEpoch lags, so mid-run failures keep the sets exact.
-	occ        []int32
-	loopActive activeSet
-	extActive  activeSet
-	injActive  activeSet
-	liveSlots  int64
-	dirtyEpoch uint64
-	cleanEpoch uint64
-	dense      bool
+	// extActive is exactly the nodes with parked extension flits,
+	// injActive the nodes with queued source packets, both ascending.
+	extActive activeSet
+	injActive activeSet
+
+	// Occupancy counters, changed only on inject, eject, park and drop:
+	// occ[li] flits on loop li, occTotal their sum, activeLoops the loops
+	// with occ > 0, liveSlots the summed length of the non-failed loops.
+	// loopOccupied[li] sums occ[li] over the cycles before occSince[li];
+	// the cycles since then all had the current occ[li].
+	occ         []int32
+	occTotal    int64
+	activeLoops int
+	liveSlots   int64
+	occSince    []int
 
 	cycle    int
 	inFlight int
@@ -129,110 +135,91 @@ func NewRing(t *topo.Topology, cfg RingConfig) *Ring {
 	if cfg.EjectPorts < 1 || cfg.InjectPerCycle < 1 {
 		panic("sim: RingConfig needs at least one inject and eject port")
 	}
+	n, loops := t.N(), t.Loops()
 	r := &Ring{
-		topo:      t,
-		rt:        topo.BuildRoutingTable(t),
-		cfg:       cfg,
-		srcQueue:  make([]queue[*injecting], t.N()),
-		extension: make([]ringBuf[*flit], t.N()),
-		ejected:   make([]int, t.N()),
-		ejDirty:   make([]int32, 0, t.N()),
-		dense:     cfg.DenseStep,
+		topo:         t,
+		rt:           topo.BuildRoutingTable(t),
+		cfg:          cfg,
+		loopOff:      make([]int, len(loops)),
+		loopLen:      make([]int, len(loops)),
+		posOf:        make([]int32, len(loops)*n),
+		srcQueue:     make([]queue[*injecting], n),
+		extension:    make([]ringBuf[*flit], n),
+		ejected:      make([]int, n),
+		ejDirty:      make([]int32, 0, n),
+		extActive:    newActiveSet(n),
+		injActive:    newActiveSet(n),
+		occ:          make([]int32, len(loops)),
+		occSince:     make([]int, len(loops)),
+		loopOccupied: make([]int64, len(loops)),
 	}
 	for i := range r.extension {
 		r.extension[i] = newRingBuf[*flit](cfg.ExtensionBuffers)
 	}
-	for _, l := range t.Loops() {
-		ls := &loopState{
-			loop: l,
-			slot: make([]*flit, l.Len()),
-			next: make([]*flit, l.Len()),
-		}
-		for _, n := range l.Nodes() {
-			ls.nodes = append(ls.nodes, n.ID(t.Cols()))
-		}
-		r.loops = append(r.loops, ls)
-		pos := make([]int, t.N())
-		for i := range pos {
-			pos[i] = -1
-		}
-		for i, id := range ls.nodes {
-			pos[id] = i
-		}
-		r.posOf = append(r.posOf, pos)
+	for i := range r.posOf {
+		r.posOf[i] = -1
 	}
-	r.loopOccupied = make([]int64, len(r.loops))
-	r.occ = make([]int32, len(r.loops))
-	r.loopActive = newActiveSet(len(r.loops))
-	r.extActive = newActiveSet(t.N())
-	r.injActive = newActiveSet(t.N())
-	r.rebuildActiveSets()
+	longest := 0
+	for li, l := range loops {
+		r.loopOff[li], r.loopLen[li] = len(r.loopOf), l.Len()
+		longest = max(longest, l.Len())
+		for i, nd := range l.Nodes() {
+			r.posOf[li*n+nd.ID(t.Cols())] = int32(i)
+			r.loopOf = append(r.loopOf, int32(li))
+		}
+	}
+	total := len(r.loopOf)
+	r.slots = make([]*flit, total)
+	r.liveSlots = int64(total)
+	rows := 1
+	for rows <= longest {
+		rows <<= 1
+	}
+	r.words = (total + 63) / 64
+	r.wheel, r.wheelMask = make([]uint64, rows*r.words), rows-1
 	r.cacheRoutes()
 	return r
 }
 
-// cacheRoutes flattens the routing table into the injection-path arrays.
+// cacheRoutes flattens the routing table into the injection-path array.
 func (r *Ring) cacheRoutes() {
 	n := r.topo.N()
 	if r.routeLoop == nil {
 		r.routeLoop = make([]int32, n*n)
-		r.routeDist = make([]int32, n*n)
 	}
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			r.routeLoop[s*n+d] = int32(r.rt.LoopID(s, d))
-			r.routeDist[s*n+d] = int32(r.rt.DistID(s, d))
 		}
 	}
 }
 
-// rebuildActiveSets recomputes the occupancy counters and active sets
-// from the ground-truth slot/buffer/queue state. Called at construction
-// and whenever FailLoop has dirtied the epoch: a failure drops flits,
-// re-routes queued packets, and shrinks the live slot population, so one
-// O(topology) rebuild is simpler to prove correct than patching every
-// failure path incrementally.
-func (r *Ring) rebuildActiveSets() {
-	r.loopActive.clear()
-	r.extActive.clear()
-	r.injActive.clear()
-	r.liveSlots = 0
-	for li, ls := range r.loops {
-		if li < len(r.failed) && r.failed[li] {
-			r.occ[li] = 0
-			continue
-		}
-		r.liveSlots += int64(len(ls.slot))
-		n := int32(0)
-		for _, f := range ls.slot {
-			if f != nil {
-				n++
-			}
-		}
-		r.occ[li] = n
-		if n > 0 {
-			r.loopActive.add(li)
-		}
+// schedule enters an arrival at global position g in cycle a.
+func (r *Ring) schedule(a, g int) {
+	r.wheel[(a&r.wheelMask)*r.words+g>>6] |= 1 << (g & 63)
+}
+
+// setOcc moves loop li's occupancy by delta, first banking the cycles the
+// old value held for LoopUtilization.
+func (r *Ring) setOcc(li int, delta int32) {
+	old := r.occ[li]
+	r.loopOccupied[li] += int64(old) * int64(r.cycle-r.occSince[li])
+	r.occSince[li] = r.cycle
+	r.occ[li] = old + delta
+	r.occTotal += int64(delta)
+	switch {
+	case old == 0:
+		r.activeLoops++
+	case old+delta == 0:
+		r.activeLoops--
 	}
-	for n := range r.extension {
-		if r.extension[n].len() > 0 {
-			r.extActive.add(n)
-		}
-	}
-	for n := range r.srcQueue {
-		if r.srcQueue[n].len() > 0 {
-			r.injActive.add(n)
-		}
-	}
-	r.cleanEpoch = r.dirtyEpoch
 }
 
 // injecting tracks a packet mid-injection at its source NI.
 type injecting struct {
-	pkt      *Packet
-	loopIdx  int
-	sent     int // flits already placed on the ring
-	distance int // hops to destination on the chosen loop
+	pkt     *Packet
+	loopIdx int
+	sent    int // flits already placed on the ring
 }
 
 // Nodes implements Network.
@@ -247,18 +234,15 @@ func (r *Ring) InFlight() int { return r.inFlight }
 // Inject implements Network: the packet joins its source queue and is
 // placed onto its loop as slots pass by.
 func (r *Ring) Inject(p *Packet) {
-	n := r.topo.N()
-	li := int(r.routeLoop[p.Src*n+p.Dst])
+	li := int(r.routeLoop[p.Src*r.topo.N()+p.Dst])
 	if li < 0 {
 		panic(fmt.Sprintf("sim: no loop connects %d -> %d", p.Src, p.Dst))
 	}
 	p.remaining = p.NumFlits
 	inj := r.injs.get()
-	inj.pkt, inj.loopIdx, inj.distance = p, li, int(r.routeDist[p.Src*n+p.Dst])
+	inj.pkt, inj.loopIdx = p, li
 	r.srcQueue[p.Src].push(inj)
-	if !r.dense {
-		r.injActive.add(p.Src)
-	}
+	r.injActive.add(p.Src)
 	r.inFlight++
 }
 
@@ -269,24 +253,14 @@ func (r *Ring) Inject(p *Packet) {
 //  2. advance — every remaining flit moves one hop (never stalls);
 //  3. injection — source NIs place queued flits into empty slots.
 //
-// By default the cycle is *sparse*: only loops with occupied slots, nodes
-// with parked extension flits, and nodes with pending injections are
-// visited, so the per-cycle cost is proportional to activity rather than
-// topology size. The invariant making this safe is that every skipped
-// unit's step is provably a no-op (an empty loop ejects nothing, advances
-// nothing, and swaps two all-nil arrays; an empty buffer or queue drains
-// nothing), so sparse stepping is byte-identical to the dense walk —
-// Results, events, interval stats, and latency histograms all match. The
-// dense walk survives as denseStep behind RingConfig.DenseStep, the
-// oracle the parity tests hold sparse stepping to.
+// Only events cost work: phase 1 visits this cycle's calendar entries,
+// phase 2 is the rotating frame's implicit shift, and phases 0 and 3 visit
+// only nodes with parked flits or queued packets. Arrivals are handled in
+// ascending loop, then ascending position order, which is the order the
+// per-slot walk (refRing in the tests) met them in: ejection ports,
+// extension buffers, onDeliver and the packet freelist all observe it.
 func (r *Ring) Step() {
-	if r.dense {
-		r.denseStep()
-		return
-	}
-	if r.cleanEpoch != r.dirtyEpoch {
-		r.rebuildActiveSets()
-	}
+	c := r.cycle
 	// Reset the ejection-port counters dirtied last cycle.
 	for _, n := range r.ejDirty {
 		r.ejected[n] = 0
@@ -294,8 +268,7 @@ func (r *Ring) Step() {
 	r.ejDirty = r.ejDirty[:0]
 
 	// Phase 0: drain extension buffers into ejection ports first (they
-	// arrived earliest). Only nodes with parked flits, in ascending node
-	// order — the same order the dense walk visits them.
+	// arrived earliest), in ascending node order.
 	for _, v := range r.extActive.list {
 		n := int(v)
 		ext := &r.extension[n]
@@ -305,66 +278,71 @@ func (r *Ring) Step() {
 		}
 	}
 
-	// Phase 1+2: ejection decision and advance, only for loops carrying
-	// flits, in ascending loop order (ejection ports are shared across
-	// loops, so visit order is observable and must match the dense walk).
-	// Slots are nilled as they are read, so after the walk the old slot
-	// array is all-nil and becomes the next cycle's scratch — the all-nil
-	// `next` invariant that lets empty loops skip clearing entirely.
-	for _, v := range r.loopActive.list {
-		li := int(v)
-		ls := r.loops[li]
-		for i, todo := 0, r.occ[li]; todo > 0; i++ {
-			f := ls.slot[i]
-			if f == nil {
+	// Phase 1: this cycle's arrivals. A flit with no ejection port and no
+	// extension slot circulates again and arrives one loop length later.
+	row := r.wheel[(c&r.wheelMask)*r.words:][:r.words]
+	for w, set := range row {
+		row[w] = 0
+		for ; set != 0; set &= set - 1 {
+			g := w<<6 | bits.TrailingZeros64(set)
+			li := int(r.loopOf[g])
+			off, l := r.loopOff[li], r.loopLen[li]
+			// During cycle c the flit at slot index k sits at (k + c) mod L.
+			k := (g - off - c) % l
+			if k < 0 {
+				k += l
+			}
+			f := r.slots[off+k]
+			node := f.pkt.Dst
+			eject := r.ejected[node] < r.cfg.EjectPorts
+			if !eject && r.extension[node].len() >= r.cfg.ExtensionBuffers {
+				r.circulations++
+				r.schedule(c+l, g)
 				continue
 			}
-			todo--
-			ls.slot[i] = nil
-			node := ls.nodes[i]
-			if f.pkt.Dst == node {
-				if r.ejected[node] < r.cfg.EjectPorts {
-					r.bumpEject(node)
-					r.finishFlit(f)
-					r.occ[li]--
-					continue
-				}
-				if r.extension[node].len() < r.cfg.ExtensionBuffers {
-					r.extension[node].push(f)
-					r.extActive.add(node)
-					r.occ[li]--
-					continue
-				}
-				// No room: circulate the loop again.
-				r.circulations++
+			r.slots[off+k] = nil
+			r.setOcc(li, -1)
+			f.hops = c - f.born
+			if eject {
+				r.bumpEject(node)
+				r.finishFlit(f)
+			} else {
+				r.extension[node].push(f)
+				r.extActive.add(node)
 			}
-			j := i + 1
-			if j == len(ls.slot) {
-				j = 0
-			}
-			f.hops++
-			ls.next[j] = f
 		}
-		ls.slot, ls.next = ls.next, ls.slot
 	}
 
-	// Phase 3: injection, only at nodes with queued packets.
+	// Phase 3: injection, only at nodes with queued packets. After this
+	// cycle's implicit advance, position pos of loop li is slot index
+	// (pos − c − 1) mod L.
+	n := r.topo.N()
 	for _, v := range r.injActive.list {
-		n := int(v)
+		src := int(v)
 		budget := r.cfg.InjectPerCycle
-		q := &r.srcQueue[n]
+		q := &r.srcQueue[src]
 		for budget > 0 && q.len() > 0 {
 			inj := q.front()
-			ls := r.loops[inj.loopIdx]
-			pos := r.posOf[inj.loopIdx][n]
-			if ls.slot[pos] != nil {
+			li := inj.loopIdx
+			l := r.loopLen[li]
+			pos := int(r.posOf[li*n+src])
+			k := (pos - c - 1) % l
+			if k < 0 {
+				k += l
+			}
+			if r.slots[r.loopOff[li]+k] != nil {
 				break // ring traffic has priority; wait for a gap
 			}
 			f := r.flits.get()
-			f.pkt, f.tail = inj.pkt, inj.sent == inj.pkt.NumFlits-1
-			ls.slot[pos] = f
-			r.occ[inj.loopIdx]++
-			r.loopActive.add(inj.loopIdx)
+			f.pkt, f.born = inj.pkt, c+1
+			r.slots[r.loopOff[li]+k] = f
+			r.setOcc(li, 1)
+			dpos := int(r.posOf[li*n+inj.pkt.Dst])
+			dist := dpos - pos
+			if dist < 0 {
+				dist += l
+			}
+			r.schedule(c+1+dist, r.loopOff[li]+dpos)
 			r.injectedFlits++
 			inj.sent++
 			budget--
@@ -375,157 +353,26 @@ func (r *Ring) Step() {
 		}
 	}
 
-	// Utilization sampling from the occupancy counters: liveSlots is the
-	// summed length of all non-failed loops, and occ[li] the flits loop li
-	// carries after injection — integer sums identical to the dense
-	// per-slot walk.
+	// Utilization sampling from the occupancy counters: integer sums
+	// identical to counting occupied slots every cycle.
 	r.slotSamples += r.liveSlots
-	for _, v := range r.loopActive.list {
-		occ := int64(r.occ[v])
-		r.slotOccupied += occ
-		r.loopOccupied[v] += occ
-	}
+	r.slotOccupied += r.occTotal
 
-	// Compact the active sets in place (order-preserving): drop loops
-	// that drained, nodes whose extension buffers emptied, and nodes
-	// whose source queues ran dry.
-	w := 0
-	for _, v := range r.loopActive.list {
-		if r.occ[v] > 0 {
-			r.loopActive.list[w] = v
-			w++
-		} else {
-			r.loopActive.mark[v] = false
-		}
-	}
-	r.loopActive.list = r.loopActive.list[:w]
-	w = 0
-	for _, v := range r.extActive.list {
-		if r.extension[v].len() > 0 {
-			r.extActive.list[w] = v
-			w++
-		} else {
-			r.extActive.mark[v] = false
-		}
-	}
-	r.extActive.list = r.extActive.list[:w]
-	w = 0
-	for _, v := range r.injActive.list {
-		if r.srcQueue[v].len() > 0 {
-			r.injActive.list[w] = v
-			w++
-		} else {
-			r.injActive.mark[v] = false
-		}
-	}
-	r.injActive.list = r.injActive.list[:w]
+	// Drop nodes whose extension buffers emptied and nodes whose source
+	// queues ran dry.
+	r.extActive.retain(func(n int32) bool { return r.extension[n].len() > 0 })
+	r.injActive.retain(func(n int32) bool { return r.srcQueue[n].len() > 0 })
 
 	r.cycle++
 }
 
 // bumpEject counts one ejection at node n this cycle, remembering the
-// node so the next sparse cycle resets only the counters actually used.
+// node so the next cycle resets only the counters actually used.
 func (r *Ring) bumpEject(n int) {
 	if r.ejected[n] == 0 {
 		r.ejDirty = append(r.ejDirty, int32(n))
 	}
 	r.ejected[n]++
-}
-
-// denseStep is the pre-sparse cycle: every loop slot and every node is
-// walked unconditionally. Retained as the byte-identity oracle for
-// sparse stepping (RingConfig.DenseStep) — TestSparseMatchesDense* hold
-// the two paths to identical Results and interval streams.
-func (r *Ring) denseStep() {
-	ejected := r.ejected
-	for i := range ejected {
-		ejected[i] = 0
-	}
-
-	// Phase 0: drain extension buffers into ejection ports first (they
-	// arrived earliest).
-	for n := 0; n < r.topo.N(); n++ {
-		ext := &r.extension[n]
-		for ext.len() > 0 && ejected[n] < r.cfg.EjectPorts {
-			r.finishFlit(ext.pop())
-			ejected[n]++
-		}
-	}
-
-	// Phase 1+2: ejection decision and advance, per loop.
-	for li, ls := range r.loops {
-		if li < len(r.failed) && r.failed[li] {
-			continue
-		}
-		for i := range ls.next {
-			ls.next[i] = nil
-		}
-		for i, f := range ls.slot {
-			if f == nil {
-				continue
-			}
-			node := ls.nodes[i]
-			if f.pkt.Dst == node {
-				if ejected[node] < r.cfg.EjectPorts {
-					ejected[node]++
-					r.finishFlit(f)
-					continue
-				}
-				if r.extension[node].len() < r.cfg.ExtensionBuffers {
-					r.extension[node].push(f)
-					continue
-				}
-				// No room: circulate the loop again.
-				r.circulations++
-			}
-			j := i + 1
-			if j == len(ls.slot) {
-				j = 0
-			}
-			f.hops++
-			ls.next[j] = f
-		}
-		ls.slot, ls.next = ls.next, ls.slot
-	}
-
-	// Phase 3: injection.
-	for n := 0; n < r.topo.N(); n++ {
-		budget := r.cfg.InjectPerCycle
-		q := &r.srcQueue[n]
-		for budget > 0 && q.len() > 0 {
-			inj := q.front()
-			ls := r.loops[inj.loopIdx]
-			pos := r.posOf[inj.loopIdx][n]
-			if ls.slot[pos] != nil {
-				break // ring traffic has priority; wait for a gap
-			}
-			f := r.flits.get()
-			f.pkt, f.tail = inj.pkt, inj.sent == inj.pkt.NumFlits-1
-			ls.slot[pos] = f
-			r.injectedFlits++
-			inj.sent++
-			budget--
-			if inj.sent == inj.pkt.NumFlits {
-				q.pop()
-				r.injs.put(inj)
-			}
-		}
-	}
-
-	// Utilization sampling (global and per loop).
-	for li, ls := range r.loops {
-		if li < len(r.failed) && r.failed[li] {
-			continue
-		}
-		r.slotSamples += int64(len(ls.slot))
-		for _, f := range ls.slot {
-			if f != nil {
-				r.slotOccupied++
-				r.loopOccupied[li]++
-			}
-		}
-	}
-	r.cycle++
 }
 
 // finishFlit retires one flit at its destination and recycles it.
@@ -555,6 +402,13 @@ func (r *Ring) finishFlit(f *flit) {
 // OnDeliver registers an observer invoked once per completed packet, for
 // tracing and custom statistics. Pass nil to clear.
 func (r *Ring) OnDeliver(fn func(*Packet)) { r.onDeliver = fn }
+
+// swapRecycle implements recycler.
+func (r *Ring) swapRecycle(fn func(*Packet)) func(*Packet) {
+	prev := r.recycle
+	r.recycle = fn
+	return prev
+}
 
 // LinkUtilization implements Network.
 func (r *Ring) LinkUtilization() float64 {
@@ -586,38 +440,19 @@ func (r *Ring) BufferOccupancy() int {
 }
 
 // ActiveLoops returns the number of loops carrying at least one flit as
-// of the last completed cycle — the units a sparse cycle actually steps.
-// Dense mode computes it from the ground-truth slot state, so comparing
-// the two modes' interval streams doubles as an occupancy-bookkeeping
-// oracle.
-func (r *Ring) ActiveLoops() int {
-	if !r.dense {
-		return r.loopActive.len()
-	}
-	n := 0
-	for li, ls := range r.loops {
-		if li < len(r.failed) && r.failed[li] {
-			continue
-		}
-		for _, f := range ls.slot {
-			if f != nil {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
+// of the last completed cycle.
+func (r *Ring) ActiveLoops() int { return r.activeLoops }
 
 // LoopUtilization returns the mean slot occupancy per loop, identifying
 // hot rings for power analysis and placement diagnostics.
 func (r *Ring) LoopUtilization() []float64 {
-	out := make([]float64, len(r.loops))
+	out := make([]float64, len(r.loopLen))
 	if r.cycle == 0 {
 		return out
 	}
 	for li, occ := range r.loopOccupied {
-		out[li] = float64(occ) / float64(int64(r.loops[li].loop.Len())*int64(r.cycle))
+		occ += int64(r.occ[li]) * int64(r.cycle-r.occSince[li])
+		out[li] = float64(occ) / float64(int64(r.loopLen[li])*int64(r.cycle))
 	}
 	return out
 }

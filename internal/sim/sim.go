@@ -145,7 +145,7 @@ func Run(net Network, src Source, cfg RunConfig) Result {
 	probe := newRunProbe(net, cfg)
 
 	// One pool per run, one network per run: attach the reclaim hook for
-	// the network models this package owns. Unknown Network implementations
+	// the network models this package owns. Other Network implementations
 	// simply skip recycling (packets fall to the GC as before).
 	//
 	// The hook fires for every completed packet, so it doubles as an O(1)
@@ -164,17 +164,10 @@ func Run(net Network, src Source, cfg RunConfig) Result {
 			pkts.put(p)
 		}
 	}
-	switch n := net.(type) {
-	case *Ring:
-		prev := n.recycle
-		n.recycle = recycle
+	if n, ok := net.(recycler); ok {
+		prev := n.swapRecycle(recycle)
 		hooked = true
-		defer func() { n.recycle = prev }()
-	case *Mesh:
-		prev := n.recycle
-		n.recycle = recycle
-		hooked = true
-		defer func() { n.recycle = prev }()
+		defer n.swapRecycle(prev)
 	}
 
 	run := cfg.Trace.Start(obs.SpanSimRun)
@@ -508,6 +501,13 @@ func pending(ps []*Packet) int {
 		}
 	}
 	return n
+}
+
+// recycler is implemented by the network models that hand completed
+// packets back to Run's freelist: swapRecycle installs fn as the reclaim
+// hook and returns the previous one.
+type recycler interface {
+	swapRecycle(fn func(*Packet)) func(*Packet)
 }
 
 // SweepPoint couples an injection rate with its Result.
